@@ -129,43 +129,10 @@ void BM_MakeRoomProportional(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeRoomProportional)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_PlacementPolicies(benchmark::State& state) {
-  const auto policy = static_cast<PlacementPolicy>(state.range(0));
-  std::vector<std::unique_ptr<Server>> servers;
-  Rng rng(5);
-  for (int i = 0; i < 100; ++i) {
-    servers.push_back(
-        std::make_unique<Server>(i, ResourceVector(32.0, 262144.0, 1000.0, 10000.0)));
-    const int vms = static_cast<int>(rng.UniformInt(0, 5));
-    for (int v = 0; v < vms; ++v) {
-      servers.back()->AddVm(std::make_unique<Vm>(i * 10 + v, BenchVmSpec(v)));
-    }
-  }
-  std::vector<Server*> raw;
-  for (auto& s : servers) {
-    raw.push_back(s.get());
-  }
-  const ResourceVector demand(4.0, 16384.0, 50.0, 500.0);
-  for (auto _ : state) {
-    const Result<size_t> placed = PlaceVm(demand, raw, policy, rng);
-    benchmark::DoNotOptimize(placed.ok());
-  }
-}
-BENCHMARK(BM_PlacementPolicies)
-    ->Arg(static_cast<int>(PlacementPolicy::kBestFit))
-    ->Arg(static_cast<int>(PlacementPolicy::kFirstFit))
-    ->Arg(static_cast<int>(PlacementPolicy::kTwoChoices));
-
-// Placement-scan shootout: the object-graph path (PlaceVm calling per-Server
-// accessors through pointers) vs the structure-of-arrays path (PlaceVmFleet
-// streaming FleetView columns), best-fit so every probe scans the whole
-// fleet. SetItemsProcessed counts servers scanned, so the reported
-// items-per-second rate is probes/s and time/iteration divided by the Arg is
-// ns/probe. Both paths produce bit-identical winners; only the memory layout
-// differs.
+// Fleet of `n` 32-core servers, each hosting 0-5 bench VMs, mirrored into a
+// FleetView exactly as ClusterManager does.
 struct PlacementScanFixture {
   std::vector<std::unique_ptr<Server>> servers;
-  std::vector<Server*> raw;
   std::vector<uint32_t> rows;
   // Declared after servers so it is destroyed first (it detaches itself as
   // each server's observer), mirroring ClusterManager's member order.
@@ -180,7 +147,6 @@ struct PlacementScanFixture {
       for (int v = 0; v < vms; ++v) {
         servers.back()->AddVm(std::make_unique<Vm>(i * 10 + v, BenchVmSpec(v)));
       }
-      raw.push_back(servers.back().get());
       rows.push_back(static_cast<uint32_t>(i));
     }
     fleet.Bind(servers);
@@ -188,20 +154,24 @@ struct PlacementScanFixture {
   }
 };
 
-void BM_PlacementScanObjectGraph(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  PlacementScanFixture fx(n);
-  Rng rng(7);
+void BM_PlacementPolicies(benchmark::State& state) {
+  const auto policy = static_cast<PlacementPolicy>(state.range(0));
+  PlacementScanFixture fx(100);
+  Rng rng(5);
   const ResourceVector demand(4.0, 16384.0, 50.0, 500.0);
   for (auto _ : state) {
-    const Result<size_t> placed =
-        PlaceVm(demand, fx.raw, PlacementPolicy::kBestFit, rng);
+    const Result<size_t> placed = PlaceVmFleet(demand, fx.fleet, fx.rows, policy, rng);
     benchmark::DoNotOptimize(placed.ok());
   }
-  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_PlacementScanObjectGraph)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_PlacementPolicies)
+    ->Arg(static_cast<int>(PlacementPolicy::kBestFit))
+    ->Arg(static_cast<int>(PlacementPolicy::kFirstFit))
+    ->Arg(static_cast<int>(PlacementPolicy::kTwoChoices));
 
+// Best-fit scan over the FleetView columns, so every probe visits the whole
+// fleet. SetItemsProcessed counts servers scanned, so time/iteration divided
+// by the Arg is ns per row.
 void BM_PlacementScanFleetView(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   PlacementScanFixture fx(n);

@@ -9,14 +9,7 @@
 // line with the machine-readable points (CI diffs it against
 // bench/scale_cluster_baseline.json and fails on >2x regression).
 //
-// A second mode sweeps the sharded-simulation thread count at a fixed
-// cluster size and emits a `scale_threads_json: {...}` footer: the speedup
-// of the parallel placement probes and per-server sweeps (DESIGN.md §10)
-// relative to the checked-in single-thread baseline
-// (bench/scale_threads_baseline.json). Event counts are identical at every
-// thread count -- only wall time may differ.
-//
-// A third mode ("cloud") runs the hyperscale configuration: a fleet of small
+// A second mode ("cloud") runs the hyperscale configuration: a fleet of small
 // servers under the diurnal/bursty arrival generator, placed with 2-choices
 // (the only policy whose per-placement probe cost is independent of fleet
 // size), defaulting to 100k servers / 2M VM arrivals. It emits a
@@ -27,9 +20,7 @@
 // Usage: scale_cluster [servers target_vms]
 //   no args  -> the default sweep (100/2k, 250/5k, 1000/20k)
 //   two args -> a single point, for the CI regression check
-//        scale_cluster threads [servers target_vms]
-//   thread-count sweep (1/2/4/8) at 1000/20k by default
-//        scale_cluster cloud [servers target_vms [threads]]
+//        scale_cluster cloud [servers target_vms]
 //   cloud-scale point (100000/2000000 by default)
 #include <chrono>
 #include <cstdlib>
@@ -44,18 +35,16 @@ namespace {
 struct ScalePoint {
   int servers = 0;
   int target_vms = 0;
-  int threads = 1;
   int64_t vms = 0;      // actual arrivals in the generated trace
   int64_t events = 0;   // launched + rejected + completed + preempted
   double wall_s = 0.0;
   double events_per_s = 0.0;
 };
 
-ScalePoint RunPoint(int servers, int target_vms, int threads = 1) {
+ScalePoint RunPoint(int servers, int target_vms) {
   ScalePoint point;
   point.servers = servers;
   point.target_vms = target_vms;
-  point.threads = threads;
 
   ClusterSimConfig config;
   config.num_servers = servers;
@@ -68,7 +57,6 @@ ScalePoint RunPoint(int servers, int target_vms, int threads = 1) {
   config.trace = WithTargetLoad(config.trace, 1.6, servers, config.server_capacity);
   config.trace.duration_s =
       static_cast<double>(target_vms) / config.trace.arrival_rate_per_s;
-  config.cluster.threads = threads;
   config.explicit_trace = GenerateTrace(config.trace);
   point.vms = static_cast<int64_t>(config.explicit_trace.size());
 
@@ -103,11 +91,10 @@ ArrivalGenConfig CloudArrivals() {
 // One cloud-scale run: many small (8-core) servers so a 2M-VM trace exerts
 // real placement pressure, 2-choices placement, hourly sampling (a 300 s
 // sweep over 100k servers would dominate the wall time), diurnal arrivals.
-ScalePoint RunCloudPoint(int servers, int target_vms, int threads) {
+ScalePoint RunCloudPoint(int servers, int target_vms) {
   ScalePoint point;
   point.servers = servers;
   point.target_vms = target_vms;
-  point.threads = threads;
 
   ClusterSimConfig config;
   config.num_servers = servers;
@@ -120,7 +107,6 @@ ScalePoint RunCloudPoint(int servers, int target_vms, int threads) {
   config.arrivals = CloudArrivals();
   config.sample_period_s = 3600.0;
   config.cluster.placement = PlacementPolicy::kTwoChoices;
-  config.cluster.threads = threads;
   config.explicit_trace = GenerateDiurnalTrace(config.trace, config.arrivals);
   point.vms = static_cast<int64_t>(config.explicit_trace.size());
 
@@ -136,18 +122,17 @@ ScalePoint RunCloudPoint(int servers, int target_vms, int threads) {
   return point;
 }
 
-int RunCloudMode(int servers, int target_vms, int threads) {
+int RunCloudMode(int servers, int target_vms) {
   bench::PrintHeader("scale_cloud",
                      "cloud-scale fleet under diurnal/bursty arrivals");
   bench::PrintNote("8-core servers, 1.6x mean offered load, 2-choices placement,");
   bench::PrintNote("sinusoidal rate (0.6 amplitude, 2h period) + Poisson bursts.");
-  bench::PrintColumns({"servers", "vms", "events", "threads", "wall-s", "events/s"});
+  bench::PrintColumns({"servers", "vms", "events", "wall-s", "events/s"});
 
-  const ScalePoint point = RunCloudPoint(servers, target_vms, threads);
+  const ScalePoint point = RunCloudPoint(servers, target_vms);
   bench::PrintCell(static_cast<double>(point.servers));
   bench::PrintCell(static_cast<double>(point.vms));
   bench::PrintCell(static_cast<double>(point.events));
-  bench::PrintCell(static_cast<double>(point.threads));
   bench::PrintCell(point.wall_s);
   bench::PrintCell(point.events_per_s);
   bench::EndRow();
@@ -156,63 +141,12 @@ int RunCloudMode(int servers, int target_vms, int threads) {
   std::snprintf(buf, sizeof(buf),
                 "{\"bench\": \"scale_cloud\", \"points\": [{\"servers\": %d, "
                 "\"target_vms\": %d, \"vms\": %lld, \"events\": %lld, "
-                "\"threads\": %d, \"wall_s\": %.4f, \"events_per_s\": %.1f}]}",
+                "\"wall_s\": %.4f, \"events_per_s\": %.1f}]}",
                 point.servers, point.target_vms,
                 static_cast<long long>(point.vms),
-                static_cast<long long>(point.events), point.threads,
-                point.wall_s, point.events_per_s);
+                static_cast<long long>(point.events), point.wall_s,
+                point.events_per_s);
   std::printf("scale_cloud_json: %s\n", buf);
-  return 0;
-}
-
-// Thread-count sweep at a fixed cluster size. Every point replays the same
-// trace; the sharded sweeps guarantee identical event counts, so the only
-// degree of freedom is wall time.
-int RunThreadSweep(int servers, int target_vms) {
-  bench::PrintHeader("scale_threads",
-                     "sharded-simulation throughput vs thread count");
-  bench::PrintNote("same trace at every point; event counts are identical by");
-  bench::PrintNote("construction (DESIGN.md §10), only wall time varies.");
-  bench::PrintColumns({"threads", "servers", "vms", "events", "wall-s", "events/s"});
-
-  std::string json = "{\"bench\": \"scale_threads\", \"points\": [";
-  bool first = true;
-  int64_t base_events = -1;
-  double base_events_per_s = 0.0;
-  for (const int threads : {1, 2, 4, 8}) {
-    const ScalePoint point = RunPoint(servers, target_vms, threads);
-    bench::PrintCell(static_cast<double>(point.threads));
-    bench::PrintCell(static_cast<double>(point.servers));
-    bench::PrintCell(static_cast<double>(point.vms));
-    bench::PrintCell(static_cast<double>(point.events));
-    bench::PrintCell(point.wall_s);
-    bench::PrintCell(point.events_per_s);
-    bench::EndRow();
-    if (base_events < 0) {
-      base_events = point.events;
-      base_events_per_s = point.events_per_s;
-    } else if (point.events != base_events) {
-      std::printf("FAIL: event count changed with thread count (%lld vs %lld)\n",
-                  static_cast<long long>(point.events),
-                  static_cast<long long>(base_events));
-      return 1;
-    }
-    const double speedup =
-        base_events_per_s > 0.0 ? point.events_per_s / base_events_per_s : 0.0;
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"threads\": %d, \"servers\": %d, \"vms\": %lld, "
-                  "\"events\": %lld, \"wall_s\": %.4f, \"events_per_s\": %.1f, "
-                  "\"speedup_vs_1t\": %.2f}",
-                  first ? "" : ", ", point.threads, point.servers,
-                  static_cast<long long>(point.vms),
-                  static_cast<long long>(point.events), point.wall_s,
-                  point.events_per_s, speedup);
-    json += buf;
-    first = false;
-  }
-  json += "]}";
-  std::printf("scale_threads_json: %s\n", json.c_str());
   return 0;
 }
 
@@ -221,27 +155,16 @@ int RunThreadSweep(int servers, int target_vms) {
 
 int main(int argc, char** argv) {
   using namespace defl;
-  if (argc >= 2 && std::string(argv[1]) == "threads") {
+  if (argc >= 2 && std::string(argv[1]) == "cloud") {
     if (argc != 2 && argc != 4) {
       // A lone extra arg is ambiguous (servers or vms?); refuse rather than
       // silently running the default config.
-      std::fprintf(stderr, "usage: %s threads [servers target_vms]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s cloud [servers target_vms]\n", argv[0]);
       return 2;
     }
-    const int servers = argc == 4 ? std::atoi(argv[2]) : 1000;
-    const int target_vms = argc == 4 ? std::atoi(argv[3]) : 20000;
-    return RunThreadSweep(servers, target_vms);
-  }
-  if (argc >= 2 && std::string(argv[1]) == "cloud") {
-    if (argc != 2 && argc != 4 && argc != 5) {
-      std::fprintf(stderr, "usage: %s cloud [servers target_vms [threads]]\n",
-                   argv[0]);
-      return 2;
-    }
-    const int servers = argc >= 4 ? std::atoi(argv[2]) : 100000;
-    const int target_vms = argc >= 4 ? std::atoi(argv[3]) : 2000000;
-    const int threads = argc == 5 ? std::atoi(argv[4]) : 1;
-    return RunCloudMode(servers, target_vms, threads);
+    const int servers = argc == 4 ? std::atoi(argv[2]) : 100000;
+    const int target_vms = argc == 4 ? std::atoi(argv[3]) : 2000000;
+    return RunCloudMode(servers, target_vms);
   }
   std::vector<std::pair<int, int>> sweep = {{100, 2000}, {250, 5000}, {1000, 20000}};
   if (argc == 3) {

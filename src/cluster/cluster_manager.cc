@@ -23,9 +23,7 @@ const char* ServerHealthName(ServerHealth health) {
 
 ClusterManager::ClusterManager(int num_servers, const ResourceVector& server_capacity,
                                const ClusterConfig& config, TelemetryContext* telemetry)
-    : config_(config),
-      rng_(config.seed),
-      pool_(std::make_unique<ThreadPool>(config.threads)) {
+    : config_(config), rng_(config.seed) {
   assert(num_servers > 0);
   if (telemetry != nullptr) {
     telemetry_ = telemetry;
@@ -131,7 +129,7 @@ ClusterManager::PlaceOutcome ClusterManager::TryPlace(std::unique_ptr<Vm>& vm) {
     for (size_t p = 0; p < num_passes; ++p) {
       const AvailabilityMode mode = passes[p];
       placed = PlaceVmFleet(demand, fleet_, placeable_rows_, config_.placement, rng_,
-                            mode, pool_.get());
+                            mode);
       if (placed.ok()) {
         break;
       }
@@ -503,8 +501,7 @@ double ClusterManager::Overcommitment() const {
     }
     capacity += servers_[i]->capacity();
     // Cached per-server nominal demand (folded in hosting order), summed in
-    // server order: O(servers) on warm caches, and one canonical fold order
-    // regardless of thread count.
+    // server order: O(servers) on warm caches.
     nominal += servers_[i]->NominalDemand();
   }
   double oc = 0.0;
@@ -516,90 +513,40 @@ double ClusterManager::Overcommitment() const {
   return oc;
 }
 
-void ClusterManager::ForEachServerParallel(const std::function<void(size_t)>& fn) {
-  // Chunked so the pool's claim cursor is touched once per ~shard rather
-  // than once per server. Which thread runs which chunk is irrelevant: fn
-  // touches only the state of the one server it is handed (shard
-  // ownership), and any cross-server folding happens on the caller
-  // afterwards in canonical order.
-  constexpr size_t kChunk = 64;
-  const size_t count = servers_.size();
-  const size_t chunks = (count + kChunk - 1) / kChunk;
-  pool_->ParallelFor(static_cast<int64_t>(chunks), [&](int64_t c) {
-    const size_t begin = static_cast<size_t>(c) * kChunk;
-    const size_t end = std::min(begin + kChunk, count);
-    for (size_t i = begin; i < end; ++i) {
-      fn(i);
-    }
-  });
-}
-
-void ClusterManager::WarmAccounting() {
-  ForEachServerParallel([this](size_t i) { servers_[i]->WarmAccountingCache(); });
-}
-
 void ClusterManager::CollectUsageSamples(std::vector<ServerUsageSample>* out) {
-  // The session passes the same scratch vector every tick: keep the outer
-  // entries and each inner vms buffer (clear, not destroy) so steady-state
-  // sampling never touches the allocator.
+  // Keep the outer entries and each inner vms buffer (clear, not destroy).
   out->resize(servers_.size());
-  ForEachServerParallel([this, out](size_t i) {
+  for (size_t i = 0; i < servers_.size(); ++i) {
     ServerUsageSample& sample = (*out)[i];
     sample.nominal_overcommitment = servers_[i]->NominalOvercommitment();
     sample.vms.clear();
-    sample.vms.reserve(servers_[i]->vm_count());
     for (const auto& vm : servers_[i]->vms()) {
       sample.vms.push_back(ServerUsageSample::VmUsage{
           vm->priority() == VmPriority::kLow, vm->size().cpu(), vm->effective().cpu()});
     }
-  });
+  }
 }
 
 double ClusterManager::HighPriorityEffectiveCpu() {
-  hp_cpu_scratch_.EnsureShards(servers_.size());
-  ForEachServerParallel([this](size_t i) {
-    std::vector<double>& values = hp_cpu_scratch_.shard(i);
-    for (const auto& vm : servers_[i]->vms()) {
+  double sum = 0.0;
+  for (const auto& server : servers_) {
+    for (const auto& vm : server->vms()) {
       if (vm->priority() == VmPriority::kHigh) {
-        values.push_back(vm->effective().cpu());
+        sum += vm->effective().cpu();
       }
     }
-  });
-  // Flat fold in (server, hosting) order: the exact summation sequence the
-  // old sequential loop used, so the result cannot drift by even one ulp
-  // with the thread count. Per-shard partial sums would regroup the adds and
-  // change the rounding -- forbidden.
-  double sum = 0.0;
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    for (const double value : hp_cpu_scratch_.shard(i)) {
-      sum += value;
-    }
   }
-  hp_cpu_scratch_.Retire();  // empty the shards, keep their capacity
   return sum;
 }
 
 void ClusterManager::ReinflateSweep(double holdback_cpu_per_server) {
-  if (reinflate_plans_.size() < servers_.size()) {
-    reinflate_plans_.resize(servers_.size());
-  }
-  ForEachServerParallel([this, holdback_cpu_per_server](size_t i) {
+  for (size_t i = 0; i < servers_.size(); ++i) {
     // Hold back capacity-shaped headroom for forecast demand.
     const double cpu = servers_[i]->capacity().cpu();
     const ResourceVector holdback =
         cpu > 0.0 ? servers_[i]->capacity() * (holdback_cpu_per_server / cpu)
                   : ResourceVector::Zero();
-    controllers_[i]->PlanReinflate(holdback, &reinflate_plans_[i]);
-  });
-  // Apply sequentially in server order: mutations and their telemetry
-  // (reinflate counters, kReinflation trace records) happen in one
-  // canonical order no matter how the planning phase was scheduled. Each
-  // plan is retired right after its apply (emptied, capacity kept).
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    if (!reinflate_plans_[i].empty()) {
-      controllers_[i]->ApplyReinflate(reinflate_plans_[i]);
-      reinflate_plans_[i].entries.clear();
-    }
+    controllers_[i]->ReinflateAll(holdback);
   }
 }
 

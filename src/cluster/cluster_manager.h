@@ -21,10 +21,8 @@
 
 #include "src/cluster/fleet_view.h"
 #include "src/cluster/placement.h"
-#include "src/common/epoch_arena.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/local_controller.h"
 #include "src/faults/fault_injector.h"
 #include "src/hypervisor/server.h"
@@ -49,10 +47,9 @@ struct ClusterConfig {
   ReclamationStrategy strategy = ReclamationStrategy::kDeflation;
   LocalControllerConfig controller;
   uint64_t seed = 1;
-  // Threads the manager's fork-join pool runs placement probes and
-  // per-server sweeps on (1 = everything inline on the caller). Outputs are
-  // byte-identical for every value: parallel phases follow the DESIGN.md
-  // §10 shard-ownership + deterministic-reduction rules.
+  // Unused: a run executes on its caller's thread (DESIGN.md §10). Kept only
+  // because existing callers assign it and snapshots carry its slot; any
+  // value gives the same run.
   int threads = 1;
 };
 
@@ -108,20 +105,10 @@ class ClusterManager {
   // ServerObserver notifications; exposed for property tests and benches.
   FleetView& fleet() { return fleet_; }
 
-  // --- Sharded parallel sweeps (DESIGN.md §10) ---
-  // The fork-join pool behind the parallel phases (never nullptr; inline
-  // when config.threads <= 1). Drivers may shard their own read-only scans
-  // over it, observing the per-shard server-ownership rule.
-  ThreadPool* thread_pool() { return pool_.get(); }
+  // --- Per-server sweeps of the sampling and reinflation ticks ---
 
-  // Refreshes every server's lazy accounting cache in parallel so a
-  // subsequent sequential reduction (Utilization, Overcommitment, ...) reads
-  // only clean O(1) caches.
-  void WarmAccounting();
-
-  // One sampling-tick usage snapshot of a server, gathered read-only in
-  // parallel by CollectUsageSamples and folded into the telemetry registry
-  // by the simulation loop in canonical server order.
+  // One sampling-tick usage snapshot of a server, folded into the telemetry
+  // registry by the simulation loop in server order.
   struct ServerUsageSample {
     double nominal_overcommitment = 0.0;
     struct VmUsage {
@@ -131,20 +118,17 @@ class ClusterManager {
     };
     std::vector<VmUsage> vms;
   };
-  // Fills out[i] for server i (resized to the server count). Parallel over
-  // shards; per-VM entries appear in hosting order so any fold the caller
-  // does replays the exact sequential arithmetic.
+  // Fills out[i] for server i (resized to the server count), per-VM entries
+  // in hosting order. Reuses the caller's buffers, so a caller passing the
+  // same vector every tick allocates nothing in steady state.
   void CollectUsageSamples(std::vector<ServerUsageSample>* out);
 
-  // Sum of effective CPU over hosted high-priority VMs. Gathered per-shard
-  // in parallel, then folded flat in canonical (server, hosting) order so
-  // the double-precision sum is byte-identical for any thread count.
+  // Sum of effective CPU over hosted high-priority VMs, added in (server,
+  // hosting) order.
   double HighPriorityEffectiveCpu();
 
   // Proactive reverse cascade over every server (the reinflation loop):
-  // plans each server's proportional reinflation in parallel (read-only),
-  // then applies the plans sequentially in server order so telemetry and
-  // mutations happen in one canonical order. `holdback_cpu_per_server`
+  // ReinflateAll on each server in server order. `holdback_cpu_per_server`
   // reserves capacity-shaped headroom for forecast demand.
   void ReinflateSweep(double holdback_cpu_per_server);
 
@@ -225,9 +209,6 @@ class ClusterManager {
   // server indices, ascending). Rebuilt lazily after a health transition;
   // placement probes hit the cache.
   void RefreshPlaceable() const;
-  // Runs fn(server_index) for every server, chunked over the pool. Callers
-  // must follow the shard-ownership rule: fn touches only server i's state.
-  void ForEachServerParallel(const std::function<void(size_t)>& fn);
   int ServerIndex(ServerId id) const;
   void UpdateHealthGauge();
   // Crash wipes deflation state: the re-placed VM restarts at nominal size.
@@ -244,7 +225,6 @@ class ClusterManager {
 
   ClusterConfig config_;
   Rng rng_;
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Server>> servers_;
   // Declared after servers_ so it is destroyed first: its destructor
   // detaches itself as each (still-alive) server's observer.
@@ -257,12 +237,6 @@ class ClusterManager {
   mutable std::vector<uint32_t> placeable_rows_;
   mutable bool placeable_dirty_ = true;
   std::vector<VmId> preempted_since_take_;
-  // Retire-reclaim scratch for the parallel sweeps (DESIGN.md §14): workers
-  // fill exactly their own shard, the coordinator folds in canonical order,
-  // then retires the buffers (capacity kept) so steady-state sweeps never
-  // touch the allocator.
-  ShardScratch<double> hp_cpu_scratch_;
-  std::vector<ReinflatePlan> reinflate_plans_;
   // VmId -> index into servers_/controllers_ for every hosted VM.
   std::unordered_map<VmId, size_t> vm_index_;
   FaultInjector* faults_ = nullptr;

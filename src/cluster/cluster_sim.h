@@ -80,9 +80,8 @@ struct ClusterSimConfig {
   // Interactive-serving workload mix + SLO controller (off by default; when
   // disabled the run is byte-identical to builds without the feature).
   InteractiveSloConfig interactive;
-  // Telemetry sink (absorbed the second argument of the deprecated
-  // RunClusterSim overload): the run publishes every metric and trace event
-  // through it and derives all result fields from it. nullptr = the session
+  // Telemetry sink: the run publishes every metric and trace event through
+  // it and derives all result fields from it. nullptr = the session
   // owns a private context with the event trace disabled. Not part of the
   // serialized snapshot state; Restore() takes its own sink.
   TelemetryContext* telemetry = nullptr;
@@ -128,11 +127,6 @@ struct ClusterSimResult {
 // ClusterSimResult field is derived back from the registry. Drivers that
 // want stepping, inspection, or checkpoint/restore use SimSession directly.
 ClusterSimResult RunClusterSim(const ClusterSimConfig& config);
-// DEPRECATED: set ClusterSimConfig::telemetry instead (or use SimSession
-// directly). Kept only as a source-compatibility shim; no in-tree callers.
-[[deprecated("set ClusterSimConfig::telemetry (or use SimSession) instead")]]
-ClusterSimResult RunClusterSim(const ClusterSimConfig& config,
-                               TelemetryContext* telemetry);
 
 }  // namespace defl
 

@@ -226,7 +226,6 @@ Result<DurableSession> DurableSession::Recover(const Options& options) {
 
   SimSession::RestoreOptions restore;
   restore.telemetry = options.telemetry;
-  restore.threads = options.threads;
   Result<SimSession> session = RestoreNewestCheckpoint(options.dir, wal, restore);
   if (!session.ok()) {
     return Error{"cannot recover " + options.dir + ": " + session.error()};

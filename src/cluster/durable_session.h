@@ -7,8 +7,7 @@
 // process at ANY instant -- mid-step, mid-WAL-append, between a checkpoint's
 // marker and its snapshot, mid-rename -- loses nothing: Recover() loads the
 // newest valid checkpoint, re-applies the journaled command suffix, and the
-// rebuilt session is byte-identical to an uninterrupted run, at any thread
-// count on either side of the crash.
+// rebuilt session is byte-identical to an uninterrupted run.
 //
 //   run directory layout:
 //     wal.log           append-only command journal (src/sim/wal_io.h)
@@ -54,8 +53,6 @@ class DurableSession {
     // Recover(): publish into this fresh context (SimSession::RestoreOptions
     // semantics). Create() takes the context from ClusterSimConfig.
     TelemetryContext* telemetry = nullptr;
-    // Recover(): > 0 overrides the snapshotted thread count.
-    int threads = 0;
   };
 
   // True when `dir` holds a recoverable run: a readable WAL header and at

@@ -15,11 +15,6 @@
 // NominalDemand), the mirrored values are bit-identical to the object path,
 // and every scan outcome (feasibility, fitness, tie-breaks) is too.
 //
-// Threading (DESIGN.md §10): mutations -- and therefore dirty-marking and
-// Refresh() -- happen only on the coordinator thread. Parallel placement
-// scans read only the flat arrays, never the Server objects, so shard
-// workers touch no lazily-refreshing caches through this path.
-//
 // Snapshots never serialize a FleetView: it is derived state, rebuilt from
 // the restored object graph (all rows start dirty), so the snapshot format
 // stays independent of this layout.
@@ -65,7 +60,7 @@ class FleetView : public ServerObserver {
   bool bound() const { return servers_ != nullptr; }
 
   // ServerObserver: called on every allocation-affecting mutation of
-  // server `id` (coordinator thread only); marks the row stale.
+  // server `id`; marks the row stale.
   void OnServerAllocationChanged(ServerId id) override;
 
   void MarkDirty(size_t row);
@@ -80,8 +75,8 @@ class FleetView : public ServerObserver {
   bool eligible(size_t row) const { return eligible_[row] != 0; }
 
   // Re-reads every dirty row from its Server in ascending row order, then
-  // clears the dirty set. O(1) when nothing is dirty. Must run on the
-  // coordinator thread before any scan consumes the columns.
+  // clears the dirty set. O(1) when nothing is dirty. Must run before any
+  // scan consumes the columns.
   void Refresh();
 
   // Column base pointers for the flat placement scans (valid after Bind;

@@ -1,6 +1,5 @@
 #include "src/cluster/placement.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace defl {
@@ -22,117 +21,15 @@ double PlacementFitness(const ResourceVector& demand,
   return ResourceVector::CosineSimilarity(demand, availability);
 }
 
-ResourceVector ServerAvailability(const Server& server, AvailabilityMode mode) {
-  switch (mode) {
-    case AvailabilityMode::kFreeOnly:
-      return server.Free();
-    case AvailabilityMode::kFreePlusDeflatable:
-      return server.Availability();
-    case AvailabilityMode::kFreePlusPreemptible:
-      return server.Free() + server.Preemptible();
-  }
-  return server.Free();
-}
-
 namespace {
 
-// Per-chunk scan result. `first_feasible` serves first-fit (min over chunks);
-// (fitness, best_feasible) serves best-fit. Both reductions are
-// order-independent under their total-order tie-breaks, so the fold is
-// invariant to chunk boundaries and thread count.
-struct ChunkScan {
+// Outcome of one candidate scan: `first_feasible` serves first-fit,
+// (best_fitness, best_feasible) serves best-fit.
+struct ScanResult {
   size_t first_feasible = SIZE_MAX;
   size_t best_feasible = SIZE_MAX;
   double best_fitness = -1.0;
 };
-
-// Shard the candidate scan only when it is worth a fork-join dispatch.
-constexpr size_t kMinParallelCandidates = 32;
-constexpr size_t kScanChunk = 64;
-
-bool UseParallelScan(size_t candidates, ThreadPool* pool) {
-  return pool != nullptr && pool->parallelism() > 1 &&
-         candidates >= kMinParallelCandidates;
-}
-
-// Scans candidates [begin, end) exactly like the sequential loops below:
-// feasibility and fitness consume one availability vector per server.
-ChunkScan ScanRange(const ResourceVector& demand, const std::vector<Server*>& servers,
-                    AvailabilityMode mode, bool need_fitness, size_t begin,
-                    size_t end) {
-  ChunkScan out;
-  for (size_t i = begin; i < end; ++i) {
-    const ResourceVector availability = ServerAvailability(*servers[i], mode);
-    if (!demand.AllLeq(availability)) {
-      continue;
-    }
-    if (out.first_feasible == SIZE_MAX) {
-      out.first_feasible = i;
-      if (!need_fitness) {
-        return out;  // first-fit needs nothing past the first hit
-      }
-    }
-    const double fitness = PlacementFitness(demand, availability);
-    if (fitness > out.best_fitness ||
-        (fitness == out.best_fitness && i < out.best_feasible)) {
-      out.best_fitness = fitness;
-      out.best_feasible = i;
-    }
-  }
-  return out;
-}
-
-// Whole-candidate-set scan, sharded across `pool` when profitable. The merge
-// folds chunks in ascending chunk order on the calling thread, but the
-// tie-breaks make the outcome independent of that order too.
-// Folds per-chunk results into one. Ascending chunk order on the calling
-// thread, but the tie-breaks make the outcome independent of that order.
-ChunkScan MergeChunks(const std::vector<ChunkScan>& partial) {
-  ChunkScan merged;
-  for (const ChunkScan& chunk : partial) {
-    merged.first_feasible = std::min(merged.first_feasible, chunk.first_feasible);
-    if (chunk.best_fitness > merged.best_fitness ||
-        (chunk.best_fitness == merged.best_fitness &&
-         chunk.best_feasible < merged.best_feasible)) {
-      merged.best_fitness = chunk.best_fitness;
-      merged.best_feasible = chunk.best_feasible;
-    }
-  }
-  return merged;
-}
-
-// Pooled per-probe chunk scratch (DESIGN.md §14 retire-reclaim): placement
-// runs thousands of probes per simulated hour, and a fresh vector per probe
-// dominated the scan's allocation profile. Only the coordinating thread (the
-// ParallelFor caller) sizes and merges the buffer; workers write disjoint
-// elements of an already-sized vector, so no reallocation can race the
-// dispatch. assign() re-default-initializes every slot, which is the retire
-// step -- capacity survives, values do not.
-std::vector<ChunkScan>& ChunkScratch(size_t chunks) {
-  static thread_local std::vector<ChunkScan> scratch;
-  scratch.assign(chunks, ChunkScan{});
-  return scratch;
-}
-
-// Whole-candidate-set scan, sharded across `pool` when profitable.
-ChunkScan ScanAll(const ResourceVector& demand, const std::vector<Server*>& servers,
-                  AvailabilityMode mode, bool need_fitness, ThreadPool* pool) {
-  if (!UseParallelScan(servers.size(), pool)) {
-    return ScanRange(demand, servers, mode, need_fitness, 0, servers.size());
-  }
-  const size_t count = servers.size();
-  const size_t chunks = (count + kScanChunk - 1) / kScanChunk;
-  std::vector<ChunkScan>& partial = ChunkScratch(chunks);
-  pool->ParallelFor(static_cast<int64_t>(chunks), [&](int64_t c) {
-    const size_t begin = static_cast<size_t>(c) * kScanChunk;
-    const size_t end = std::min(begin + kScanChunk, count);
-    partial[static_cast<size_t>(c)] =
-        ScanRange(demand, servers, mode, need_fitness, begin, end);
-  });
-  return MergeChunks(partial);
-}
-
-// --- Structure-of-arrays scan (FleetView) ---
 
 // The two column sets whose elementwise sum is a row's availability under
 // one mode. `extra` is null for kFreeOnly; the scan loop is specialized on
@@ -162,21 +59,21 @@ FleetCols ModeColumns(const FleetView& fleet, AvailabilityMode mode) {
   return cols;
 }
 
-// Flat-loop equivalent of ScanRange over candidate positions [begin, end).
-// Every floating-point operation replicates the object-graph path in the
-// same order: availability = base (+ extra) per dimension (the same adds as
+// Scans every candidate position in ascending order. Every floating-point
+// operation replicates the ResourceVector path in the same order:
+// availability = base (+ extra) per dimension (the same adds as
 // Server::Availability), feasibility = AllLeq's per-dimension compare with
 // the same epsilon, fitness = CosineSimilarity's dot / (|d| * |a|) with
 // dimension-order accumulation and the degenerate-denominator guard. The
 // loop reads only contiguous arrays: no pointer-chasing, no virtual calls,
 // and the compiler can vectorize the per-dimension math.
 template <bool kHasExtra>
-ChunkScan ScanFleetRangeImpl(const FleetCols& cols, const double (&d)[kNumResources],
-                             double demand_norm, const std::vector<uint32_t>& candidates,
-                             bool need_fitness, size_t begin, size_t end) {
+ScanResult ScanFleetImpl(const FleetCols& cols, const double (&d)[kNumResources],
+                         double demand_norm, const std::vector<uint32_t>& candidates,
+                         bool need_fitness) {
   constexpr double kEps = 1e-9;  // matches ResourceVector::AllLeq's default
-  ChunkScan out;
-  for (size_t i = begin; i < end; ++i) {
+  ScanResult out;
+  for (size_t i = 0; i < candidates.size(); ++i) {
     const size_t row = candidates[i];
     double a[kNumResources];
     bool feasible = true;
@@ -190,7 +87,7 @@ ChunkScan ScanFleetRangeImpl(const FleetCols& cols, const double (&d)[kNumResour
     if (out.first_feasible == SIZE_MAX) {
       out.first_feasible = i;
       if (!need_fitness) {
-        return out;
+        return out;  // first-fit needs nothing past the first hit
       }
     }
     double dot = 0.0;
@@ -210,125 +107,24 @@ ChunkScan ScanFleetRangeImpl(const FleetCols& cols, const double (&d)[kNumResour
   return out;
 }
 
-ChunkScan ScanFleetRange(const FleetCols& cols, const double (&d)[kNumResources],
-                         double demand_norm, const std::vector<uint32_t>& candidates,
-                         bool need_fitness, size_t begin, size_t end) {
-  return cols.extra[0] != nullptr
-             ? ScanFleetRangeImpl<true>(cols, d, demand_norm, candidates,
-                                        need_fitness, begin, end)
-             : ScanFleetRangeImpl<false>(cols, d, demand_norm, candidates,
-                                         need_fitness, begin, end);
-}
-
-// SoA whole-candidate scan; shards CANDIDATE INDEX RANGES across the pool
-// (workers touch only the flat columns). Same chunk size, merge, and
-// tie-breaks as the object-graph ScanAll, so the outcome is byte-identical
-// at any thread count.
-ChunkScan ScanAllFleet(const ResourceVector& demand, const FleetView& fleet,
-                       const std::vector<uint32_t>& candidates, AvailabilityMode mode,
-                       bool need_fitness, ThreadPool* pool) {
+ScanResult ScanFleet(const ResourceVector& demand, const FleetView& fleet,
+                     const std::vector<uint32_t>& candidates, AvailabilityMode mode,
+                     bool need_fitness) {
   const FleetCols cols = ModeColumns(fleet, mode);
   double d[kNumResources];
   for (const ResourceKind kind : kAllResources) {
     d[static_cast<size_t>(kind)] = demand[kind];
   }
   const double demand_norm = demand.Norm();
-  const size_t count = candidates.size();
-  if (!UseParallelScan(count, pool)) {
-    return ScanFleetRange(cols, d, demand_norm, candidates, need_fitness, 0, count);
-  }
-  const size_t chunks = (count + kScanChunk - 1) / kScanChunk;
-  std::vector<ChunkScan>& partial = ChunkScratch(chunks);
-  pool->ParallelFor(static_cast<int64_t>(chunks), [&](int64_t c) {
-    const size_t begin = static_cast<size_t>(c) * kScanChunk;
-    const size_t end = std::min(begin + kScanChunk, count);
-    partial[static_cast<size_t>(c)] =
-        ScanFleetRange(cols, d, demand_norm, candidates, need_fitness, begin, end);
-  });
-  return MergeChunks(partial);
+  return cols.extra[0] != nullptr
+             ? ScanFleetImpl<true>(cols, d, demand_norm, candidates, need_fitness)
+             : ScanFleetImpl<false>(cols, d, demand_norm, candidates, need_fitness);
 }
 
 }  // namespace
 
-Result<size_t> PlaceVm(const ResourceVector& demand,
-                       const std::vector<Server*>& servers, PlacementPolicy policy,
-                       Rng& rng, AvailabilityMode mode, ThreadPool* pool) {
-  if (servers.empty()) {
-    return Error{"no servers"};
-  }
-  // Each candidate's availability is computed exactly once per probe:
-  // feasibility and fitness consume the same vector instead of re-deriving
-  // it (the server-side aggregates are cached, but the vector assembly --
-  // Free/clamp/adds -- is still worth sharing on the placement hot path).
-  switch (policy) {
-    case PlacementPolicy::kFirstFit: {
-      const ChunkScan scan = ScanAll(demand, servers, mode, /*need_fitness=*/false, pool);
-      if (scan.first_feasible == SIZE_MAX) {
-        return Error{"no feasible server (first-fit)"};
-      }
-      return scan.first_feasible;
-    }
-
-    case PlacementPolicy::kBestFit: {
-      const ChunkScan scan = ScanAll(demand, servers, mode, /*need_fitness=*/true, pool);
-      if (scan.best_feasible == SIZE_MAX) {
-        return Error{"no feasible server (best-fit)"};
-      }
-      return scan.best_feasible;
-    }
-
-    case PlacementPolicy::kTwoChoices: {
-      // Sample two *distinct* random servers and keep the fitter feasible
-      // one; retry a few times before falling back to a full first-fit
-      // scan. (Sampling with replacement would silently degenerate to one
-      // choice whenever both draws land on the same server.)
-      constexpr int kAttempts = 8;
-      const auto count = static_cast<int64_t>(servers.size());
-      for (int attempt = 0; attempt < kAttempts; ++attempt) {
-        const auto a = static_cast<size_t>(rng.UniformInt(0, count - 1));
-        size_t b = a;
-        if (count >= 2) {
-          // Draw from the count-1 servers that are not `a`.
-          b = static_cast<size_t>(rng.UniformInt(0, count - 2));
-          if (b >= a) {
-            ++b;
-          }
-        }
-        const ResourceVector avail_a = ServerAvailability(*servers[a], mode);
-        const bool fa = demand.AllLeq(avail_a);
-        if (b == a) {
-          if (fa) {
-            return a;
-          }
-          continue;
-        }
-        const ResourceVector avail_b = ServerAvailability(*servers[b], mode);
-        const bool fb = demand.AllLeq(avail_b);
-        if (fa && fb) {
-          const double fit_a = PlacementFitness(demand, avail_a);
-          const double fit_b = PlacementFitness(demand, avail_b);
-          return fit_a >= fit_b ? a : b;
-        }
-        if (fa) {
-          return a;
-        }
-        if (fb) {
-          return b;
-        }
-      }
-      const ChunkScan scan = ScanAll(demand, servers, mode, /*need_fitness=*/false, pool);
-      if (scan.first_feasible == SIZE_MAX) {
-        return Error{"no feasible server (2-choices)"};
-      }
-      return scan.first_feasible;
-    }
-  }
-  return Error{"unknown policy"};
-}
-
 ResourceVector FleetAvailability(const FleetView& fleet, size_t row,
                                  AvailabilityMode mode) {
-  // Elementwise assembly in the same operation order as ServerAvailability:
   // kFreeOnly copies the mirrored Free() bits; the other modes add the
   // second aggregate per dimension exactly like ResourceVector::operator+.
   ResourceVector out;
@@ -350,8 +146,7 @@ ResourceVector FleetAvailability(const FleetView& fleet, size_t row,
 
 Result<size_t> PlaceVmFleet(const ResourceVector& demand, FleetView& fleet,
                             const std::vector<uint32_t>& candidates,
-                            PlacementPolicy policy, Rng& rng, AvailabilityMode mode,
-                            ThreadPool* pool) {
+                            PlacementPolicy policy, Rng& rng, AvailabilityMode mode) {
   if (candidates.empty()) {
     return Error{"no servers"};
   }
@@ -360,8 +155,8 @@ Result<size_t> PlaceVmFleet(const ResourceVector& demand, FleetView& fleet,
   fleet.Refresh();
   switch (policy) {
     case PlacementPolicy::kFirstFit: {
-      const ChunkScan scan =
-          ScanAllFleet(demand, fleet, candidates, mode, /*need_fitness=*/false, pool);
+      const ScanResult scan =
+          ScanFleet(demand, fleet, candidates, mode, /*need_fitness=*/false);
       if (scan.first_feasible == SIZE_MAX) {
         return Error{"no feasible server (first-fit)"};
       }
@@ -369,8 +164,8 @@ Result<size_t> PlaceVmFleet(const ResourceVector& demand, FleetView& fleet,
     }
 
     case PlacementPolicy::kBestFit: {
-      const ChunkScan scan =
-          ScanAllFleet(demand, fleet, candidates, mode, /*need_fitness=*/true, pool);
+      const ScanResult scan =
+          ScanFleet(demand, fleet, candidates, mode, /*need_fitness=*/true);
       if (scan.best_feasible == SIZE_MAX) {
         return Error{"no feasible server (best-fit)"};
       }
@@ -378,14 +173,17 @@ Result<size_t> PlaceVmFleet(const ResourceVector& demand, FleetView& fleet,
     }
 
     case PlacementPolicy::kTwoChoices: {
-      // Same draw sequence, comparisons, and fallback as the object-graph
-      // 2-choices -- only the availability reads come from the columns.
+      // Sample two *distinct* random servers and keep the fitter feasible
+      // one; retry a few times before falling back to a full first-fit
+      // scan. (Sampling with replacement would silently degenerate to one
+      // choice whenever both draws land on the same server.)
       constexpr int kAttempts = 8;
       const auto count = static_cast<int64_t>(candidates.size());
       for (int attempt = 0; attempt < kAttempts; ++attempt) {
         const auto a = static_cast<size_t>(rng.UniformInt(0, count - 1));
         size_t b = a;
         if (count >= 2) {
+          // Draw from the count-1 servers that are not `a`.
           b = static_cast<size_t>(rng.UniformInt(0, count - 2));
           if (b >= a) {
             ++b;
@@ -413,8 +211,8 @@ Result<size_t> PlaceVmFleet(const ResourceVector& demand, FleetView& fleet,
           return b;
         }
       }
-      const ChunkScan scan =
-          ScanAllFleet(demand, fleet, candidates, mode, /*need_fitness=*/false, pool);
+      const ScanResult scan =
+          ScanFleet(demand, fleet, candidates, mode, /*need_fitness=*/false);
       if (scan.first_feasible == SIZE_MAX) {
         return Error{"no feasible server (2-choices)"};
       }

@@ -12,8 +12,6 @@
 #include "src/cluster/fleet_view.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
-#include "src/hypervisor/server.h"
 #include "src/resources/resource_vector.h"
 
 namespace defl {
@@ -33,45 +31,26 @@ enum class AvailabilityMode { kFreeOnly, kFreePlusDeflatable, kFreePlusPreemptib
 // fitness(D, A) = (A . D) / (|A| |D|); higher is better.
 double PlacementFitness(const ResourceVector& demand, const ResourceVector& availability);
 
-ResourceVector ServerAvailability(const Server& server, AvailabilityMode mode);
-
-// Picks a server whose availability (per `mode`) covers `demand`. Returns an
-// index into `servers` or an error when no server is feasible.
-//
-// With a non-null `pool`, the candidate scan is sharded across the pool's
-// threads: each chunk of candidates is scored by one thread (reading only
-// its own chunk's servers, which may lazily refresh their accounting caches
-// -- the per-shard-ownership rule of DESIGN.md §10), and the per-chunk
-// results are folded with order-independent reductions (min feasible index
-// for first-fit, max fitness with lowest-index tie-break for best-fit). The
-// chosen server is therefore byte-identical to the sequential scan for any
-// pool size and any chunking. 2-choices consumes the caller's RNG stream on
-// the calling thread exactly as before; only its full-scan fallback shards.
-Result<size_t> PlaceVm(const ResourceVector& demand,
-                       const std::vector<Server*>& servers, PlacementPolicy policy,
-                       Rng& rng, AvailabilityMode mode = AvailabilityMode::kFreePlusDeflatable,
-                       ThreadPool* pool = nullptr);
-
 // Availability of one FleetView row under `mode`, assembled from the flat
-// columns with the same elementwise adds as ServerAvailability -- the bits
-// are identical to the object-graph path for a coherent view.
+// columns with the same elementwise adds as the Server accessors
+// (Free() + Deflatable() is Server::Availability()).
 ResourceVector FleetAvailability(const FleetView& fleet, size_t row,
                                  AvailabilityMode mode);
 
-// Structure-of-arrays variant of PlaceVm: scans the FleetView's flat
-// columns instead of Server objects. `candidates` lists the eligible rows
-// (ascending for the canonical placement order); the returned index is a
-// POSITION in `candidates`, mirroring PlaceVm's index-into-`servers`
-// contract. Refreshes the view first (O(1) when clean), so the decision --
-// feasibility, fitness, every tie-break, and the 2-choices RNG draw
-// sequence -- is bit-identical to PlaceVm over the equivalent Server list.
-// The sharded scan chunks candidate index ranges; workers read only the
-// contiguous columns, never the Server objects.
+// Picks a row whose availability (per `mode`) covers `demand`, scanning the
+// FleetView's flat columns. `candidates` lists the eligible rows (ascending
+// for the canonical placement order); the returned index is a POSITION in
+// `candidates`, or an error when no candidate is feasible. Refreshes the
+// view first (O(1) when clean). First-fit returns the lowest feasible
+// position; best-fit the highest fitness with the lowest position breaking
+// ties; 2-choices draws two distinct positions from `rng` up to eight times
+// and falls back to a first-fit scan. The serial reference in
+// tests/cluster/placement_reference.h computes the same decision, RNG draws
+// included, from the Server objects.
 Result<size_t> PlaceVmFleet(const ResourceVector& demand, FleetView& fleet,
                             const std::vector<uint32_t>& candidates,
                             PlacementPolicy policy, Rng& rng,
-                            AvailabilityMode mode = AvailabilityMode::kFreePlusDeflatable,
-                            ThreadPool* pool = nullptr);
+                            AvailabilityMode mode = AvailabilityMode::kFreePlusDeflatable);
 
 }  // namespace defl
 

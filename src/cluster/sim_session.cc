@@ -240,7 +240,7 @@ void WriteConfig(SnapshotWriter& w, const ClusterSimConfig& config) {
   w.WriteF64(lc.guard.backoff_cap_s);
   w.WriteI64(lc.guard.breaker_threshold);
   w.WriteU64(c.seed);
-  w.WriteI64(c.threads);
+  w.WriteI64(c.threads);  // unused slot, kept so the format is unchanged
   w.WriteF64(config.sample_period_s);
   w.WriteF64(config.reinflate_period_s);
   w.WriteBool(config.predictive_holdback);
@@ -523,7 +523,7 @@ struct SimSession::State {
   // deflating batch/spark co-tenants on the same server (never another web
   // VM) and handing the freed resources back through the reverse cascade.
   // Victims are taken in hosting order -- the canonical order everything
-  // else uses -- so the pass is deterministic at any thread count.
+  // else uses.
   void RelieveSloPressure(Server* server, LocalController* controller,
                           Vm* web, MetricsRegistry& registry) {
     const ResourceVector deficit =
@@ -567,9 +567,8 @@ struct SimSession::State {
   // The SLO control loop (ROADMAP item 3): evaluate every interactive VM's
   // open-loop p99 against the target. Under the slo-aware policy a violating
   // VM is relieved immediately; under the uniform baseline the violation is
-  // only counted and reclamation stays with the EuroSys policies. Sequential
-  // in canonical (server, hosting) order -- the tick reads and mutates fleet
-  // state, so it runs on the coordinating thread like plan application does.
+  // only counted and reclamation stays with the EuroSys policies. Runs in
+  // canonical (server, hosting) order.
   void SloTick() {
     const InteractiveSloConfig& mix = config.interactive;
     MetricsRegistry& registry = telemetry->metrics();
@@ -610,11 +609,8 @@ struct SimSession::State {
     registry.ObserveAt(slo_p99_series, now, worst_p99_ms);
   }
 
-  // The sampling sweep gathers every server's usage snapshot in parallel
-  // (read-only, shard ownership over the accounting caches) and folds it
-  // into the registry here in canonical (server, hosting) order -- the exact
-  // sequence of registry calls the sequential loop made, so the exported
-  // metrics are byte-identical for any thread count.
+  // The sampling sweep gathers every server's usage snapshot and folds it
+  // into the registry in (server, hosting) order.
   void SampleTick() {
     MetricsRegistry& registry = telemetry->metrics();
     manager->CollectUsageSamples(&usage_samples);  // also warms all caches
@@ -637,9 +633,7 @@ struct SimSession::State {
     }
   }
 
-  // Proactive reinflation loop (optionally with predictive holdback). The
-  // demand gather and the per-server planning run sharded in parallel; the
-  // plans apply in canonical server order (DESIGN.md §10).
+  // Proactive reinflation loop (optionally with predictive holdback).
   void ReinflateTick() {
     const double high_pri_cpu = manager->HighPriorityEffectiveCpu();
     predictor.Observe(high_pri_cpu);
@@ -738,9 +732,6 @@ Result<bool> ValidateConfig(const ClusterSimConfig& config) {
   }
   if (config.reinflate_period_s < 0.0) {
     return Error{"reinflate_period_s must be non-negative"};
-  }
-  if (config.cluster.threads < 1) {
-    return Error{"cluster.threads must be >= 1"};
   }
   if (config.trace.duration_s < 0.0) {
     return Error{"trace.duration_s must be non-negative"};
@@ -1156,9 +1147,6 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
     return Error{r.error()};
   }
   config.telemetry = nullptr;
-  if (options.threads > 0) {
-    config.cluster.threads = options.threads;
-  }
   if (options.placement >= 0) {
     if (options.placement > static_cast<int>(PlacementPolicy::kTwoChoices)) {
       return Error{"placement override " + std::to_string(options.placement) +

@@ -15,9 +15,8 @@
 // simulation state -- virtual clock, pending event queue, RNG streams,
 // fault-injector cursors, per-VM deflation state, telemetry registry and
 // event trace -- so kill + Restore at any step boundary produces output
-// byte-identical to the uninterrupted run, for any thread count on either
-// side of the checkpoint. RunClusterSim() is now a thin wrapper over this
-// class: Open + Finish.
+// byte-identical to the uninterrupted run. RunClusterSim() is a thin
+// wrapper over this class: Open + Finish.
 #ifndef SRC_CLUSTER_SIM_SESSION_H_
 #define SRC_CLUSTER_SIM_SESSION_H_
 
@@ -61,10 +60,6 @@ class SimSession {
     // freshly constructed (no metrics registered): Restore rebuilds the
     // snapshot's registry layout inside it and rejects any mismatch.
     TelemetryContext* telemetry = nullptr;
-    // > 0 overrides the snapshotted ClusterConfig::threads. Outputs are
-    // byte-identical for every value (DESIGN.md §10), so a snapshot taken
-    // at --threads 8 restores exactly on a single-core box.
-    int threads = 0;
     // >= 0 overrides the snapshotted placement policy (a PlacementPolicy
     // cast to int). The restored fleet state is untouched -- only future
     // placement decisions change. This is the sweep orchestrator's policy

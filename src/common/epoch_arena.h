@@ -3,23 +3,14 @@
 // The simulator's per-event and per-tick scratch objects do not have
 // individual lifetimes -- phases do (SNIPPETS.md snippet 1, temporal-slab):
 // trace records live until the trace is cleared, per-probe scratch lives for
-// one placement probe, shard gather buffers live for one parallel sweep.
-// EpochArena exploits that: allocation is a bump-pointer walk over pooled
-// blocks, and ResetEpoch() retires every block to an internal free pool in
-// O(blocks) with no destructor walk. After the first epoch has sized the
-// pool, steady-state epochs perform ZERO operating-system allocations; the
-// os_allocations() counter makes that testable and CI-gateable.
+// one placement probe. EpochArena exploits that: allocation is a
+// bump-pointer walk over pooled blocks, and ResetEpoch() retires every block
+// to an internal free pool in O(blocks) with no destructor walk. After the
+// first epoch has sized the pool, steady-state epochs perform ZERO
+// operating-system allocations; the os_allocations() counter makes that
+// testable and CI-gateable.
 //
-// ShardScratch is the companion retire-reclaim handoff (snippet 2,
-// retire_reclaim.hpp): the coordinator owns a set of per-shard buffers,
-// parallel workers fill exactly their own shard during a fork-join phase
-// (the DESIGN.md §10 ownership rule), and after the join the coordinator
-// drains the results in canonical shard order and retires every buffer --
-// clear() with capacity intact -- so the next phase reuses the same memory
-// without touching the allocator.
-//
-// Neither type is thread-safe for concurrent allocation; both are built for
-// the single-coordinator fork-join model the cluster simulator uses.
+// Not thread-safe: one arena belongs to one simulation thread.
 #ifndef SRC_COMMON_EPOCH_ARENA_H_
 #define SRC_COMMON_EPOCH_ARENA_H_
 
@@ -106,38 +97,6 @@ class EpochArena {
   size_t epoch_bytes_ = 0;
   int64_t os_allocations_ = 0;
   int64_t oversized_allocations_ = 0;
-};
-
-// Per-shard reusable buffers with a retire-reclaim handoff (header comment).
-// Workers call shard(i) for their own shard only; Retire() runs on the
-// coordinator after the join, once the results have been folded.
-template <typename T>
-class ShardScratch {
- public:
-  // Grows (never shrinks) to `shards` buffers; existing capacity is kept.
-  void EnsureShards(size_t shards) {
-    if (buffers_.size() < shards) {
-      buffers_.resize(shards);
-    }
-  }
-
-  size_t shards() const { return buffers_.size(); }
-
-  std::vector<T>& shard(size_t i) { return buffers_[i]; }
-  const std::vector<T>& shard(size_t i) const { return buffers_[i]; }
-
-  // The retire step: empties every buffer, keeping its heap capacity, so the
-  // next parallel phase refills warmed memory. Coordinator-only, and only
-  // after the fork-join phase has completed (retire-before-join would race
-  // the workers still writing).
-  void Retire() {
-    for (std::vector<T>& buffer : buffers_) {
-      buffer.clear();
-    }
-  }
-
- private:
-  std::vector<std::vector<T>> buffers_;
 };
 
 }  // namespace defl

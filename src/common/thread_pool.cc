@@ -18,7 +18,6 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  generation_hint_.fetch_add(1, std::memory_order_release);  // break spinners
   wake_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
@@ -27,7 +26,7 @@ ThreadPool::~ThreadPool() {
 
 int64_t ThreadPool::DrainCurrentJob(const std::function<void(int64_t)>& fn) {
   // Claim items one at a time from the shared cursor. Items are independent
-  // (shard ownership), so which thread runs which item never matters; the
+  // (item ownership), so which thread runs which item never matters; the
   // caller's canonical-order merge provides determinism.
   int64_t ran = 0;
   for (;;) {
@@ -44,18 +43,6 @@ int64_t ThreadPool::DrainCurrentJob(const std::function<void(int64_t)>& fn) {
 void ThreadPool::WorkerLoop() {
   uint64_t seen_generation = 0;
   for (;;) {
-    // Fork-join batches arrive back-to-back from the event loop, so spin
-    // briefly on the generation hint before paying the condition-variable
-    // sleep/wake latency; yield periodically so an oversubscribed host
-    // (fewer cores than threads) still makes progress.
-    for (int spin = 0; spin < 4096; ++spin) {
-      if (generation_hint_.load(std::memory_order_acquire) != seen_generation) {
-        break;
-      }
-      if ((spin & 255) == 255) {
-        std::this_thread::yield();
-      }
-    }
     const std::function<void(int64_t)>* fn = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -108,7 +95,6 @@ void ThreadPool::ParallelFor(int64_t count, const std::function<void(int64_t)>& 
     next_cursor_.store(0, std::memory_order_relaxed);
     ++generation_;
   }
-  generation_hint_.fetch_add(1, std::memory_order_release);
   wake_.notify_all();
   // The caller participates too; on a host with fewer cores than threads
   // this also guarantees forward progress.

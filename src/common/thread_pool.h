@@ -1,11 +1,13 @@
-// Fixed-size fork-join thread pool for the sharded cluster simulation
-// (DESIGN.md §10). Deliberately minimal: no work stealing, no task queue --
-// one blocking ParallelFor at a time, items claimed from an atomic cursor.
+// Fixed-size fork-join thread pool for work items that share no mutable
+// state: the what-if service's query batches and sweep cells (DESIGN.md
+// §10). A cluster simulation itself always runs on one thread. Deliberately
+// minimal: no work stealing, no task queue -- one blocking ParallelFor at a
+// time, items claimed from an atomic cursor.
 //
 // Determinism contract: the pool makes NO ordering promises about which
 // worker runs which item or in what order items execute. Callers must
 // therefore (a) give each item exclusive ownership of the state it touches
-// (shard ownership -- no locks on the hot path), and (b) fold the per-item
+// (item ownership -- no locks on the hot path), and (b) fold the per-item
 // results on the calling thread in a fixed canonical order, or use only
 // order-independent reductions (argmax with a total-order tie-break).
 // Under that contract, results are byte-identical for every pool size,
@@ -61,9 +63,6 @@ class ThreadPool {
   int64_t completed_ = 0;  // items finished this job, guarded by mu_
   int64_t draining_ = 0;   // workers inside DrainCurrentJob, guarded by mu_
   bool stop_ = false;      // guarded by mu_
-  // Lock-free mirror of generation_ so idle workers can spin briefly before
-  // falling back to the condition variable.
-  std::atomic<uint64_t> generation_hint_{0};
 };
 
 }  // namespace defl

@@ -244,16 +244,9 @@ ResourceVector LocalController::ReinflateAll(const ResourceVector& hold_back) {
 
 ReinflatePlan LocalController::PlanReinflate(const ResourceVector& hold_back) const {
   ReinflatePlan plan;
-  PlanReinflate(hold_back, &plan);
-  return plan;
-}
-
-void LocalController::PlanReinflate(const ResourceVector& hold_back,
-                                    ReinflatePlan* out) const {
-  out->entries.clear();  // reuse the caller's buffer; capacity survives
   const ResourceVector pool = (server_->Free() - hold_back).ClampNonNegative();
   if (!pool.AnyPositive()) {
-    return;
+    return plan;
   }
 
   // Proportional to how much each VM is currently deflated by. Each entry's
@@ -265,7 +258,7 @@ void LocalController::PlanReinflate(const ResourceVector& hold_back,
     total_deflated += DeflatedBy(*vm);
   }
   if (!total_deflated.AnyPositive()) {
-    return;
+    return plan;
   }
 
   for (const auto& vm : server_->vms()) {
@@ -280,8 +273,9 @@ void LocalController::PlanReinflate(const ResourceVector& hold_back,
     if (!give.AnyPositive()) {
       continue;
     }
-    out->entries.push_back(ReinflatePlan::Entry{vm.get(), give});
+    plan.entries.push_back(ReinflatePlan::Entry{vm.get(), give});
   }
+  return plan;
 }
 
 ResourceVector LocalController::ApplyReinflate(const ReinflatePlan& plan) {

@@ -45,11 +45,9 @@ struct LocalControllerConfig {
 };
 
 // One server's planned reverse cascade: how much to give back to each of its
-// deflated VMs. Computed read-only by PlanReinflate (touches only the
-// controller's own server, so per-shard planning can run in parallel under
-// the DESIGN.md §10 ownership rule) and consumed by ApplyReinflate on the
-// coordinating thread. A plan is valid only while the server's VM set and
-// allocations are unchanged between the two calls.
+// deflated VMs. Computed read-only by PlanReinflate from the controller's own
+// server and consumed by ApplyReinflate. A plan is valid only while the
+// server's VM set and allocations are unchanged between the two calls.
 struct ReinflatePlan {
   struct Entry {
     Vm* vm = nullptr;
@@ -101,13 +99,8 @@ class LocalController {
 
   // Read-only half of ReinflateAll: proportional-to-deflation split of the
   // current free pool (minus `hold_back`) across this server's VMs. Mutates
-  // nothing except the server's lazily refreshed accounting cache, which is
-  // safe under per-shard ownership.
+  // nothing except the server's lazily refreshed accounting cache.
   ReinflatePlan PlanReinflate(const ResourceVector& hold_back = ResourceVector::Zero()) const;
-  // Buffer-filling form for the sweep hot loop: clears `out` (capacity kept)
-  // and fills it, so a caller passing the same plan every sweep allocates
-  // nothing in steady state.
-  void PlanReinflate(const ResourceVector& hold_back, ReinflatePlan* out) const;
   // Mutating half: runs the reverse cascade for each planned entry, in plan
   // order, publishing telemetry as usual. Returns the total returned.
   ResourceVector ApplyReinflate(const ReinflatePlan& plan);

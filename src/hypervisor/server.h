@@ -25,13 +25,9 @@ using ServerId = int64_t;
 // only if a mutation path misses its notification hook, which the
 // DEFL_CHECK_ACCOUNTING build cross-validates on every read.
 //
-// Thread-safety (DESIGN.md §10): the cache is guarded by SHARD OWNERSHIP,
-// not locks. Even const accessors may refresh the mutable cache, so during
-// a parallel phase exactly one thread -- the worker owning this server's
-// shard -- may touch this server (reads included); the coordinator thread
-// only resumes reading after the fork-join barrier. Concurrent access to
-// one server from two threads is a data race by design and is what the
-// ThreadSanitizer CI job exists to catch.
+// Thread-safety: none. Even const accessors may refresh the mutable cache,
+// so a server belongs to one thread at a time, reads included -- the thread
+// running its simulation (DESIGN.md §10).
 struct ServerAccounting {
   // Sum of effective (physically backed) allocations.
   ResourceVector allocated;
@@ -50,9 +46,7 @@ struct ServerAccounting {
 // (src/cluster/fleet_view.h) uses to mark its mirrored row stale: every
 // notification that dirties the server's own accounting cache is forwarded
 // here too, so the flat mirror can never miss an invalidation the cache saw.
-// Notifications fire only on mutations, which under the DESIGN.md §10 rules
-// happen exclusively on the coordinator thread -- lazy cache refreshes on
-// shard workers do not notify.
+// Notifications fire only on mutations; lazy cache refreshes do not notify.
 class ServerObserver {
  public:
   virtual ~ServerObserver() = default;
@@ -92,11 +86,6 @@ class Server : public AllocationListener {
   ResourceVector Preemptible() const;
   // Sum of nominal VM sizes (the cached overcommitment numerator).
   ResourceVector NominalDemand() const;
-
-  // Forces the lazy aggregate refresh now. The sharded simulation calls this
-  // from the worker that owns this server's shard so the subsequent
-  // sequential reduction reads only clean O(1) caches (DESIGN.md §10).
-  void WarmAccountingCache() const { (void)accounting(); }
 
   // From-scratch fold over the hosted VMs (the reference the cache must
   // match). Exposed for the accounting invariant checks and property tests.

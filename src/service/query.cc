@@ -286,9 +286,18 @@ Result<WhatIfQuery> ParseQuery(const std::string& line) {
         }
         query.mix_fraction = query.fraction;
       }
-      if (has("period") && query.slo_period_s <= 0.0) {
-        return Error{"slo query period must be > 0 (got " +
-                     std::to_string(query.slo_period_s) + ")"};
+      if (has("period")) {
+        if (query.slo_period_s <= 0.0) {
+          return Error{"slo query period must be > 0 (got " +
+                       std::to_string(query.slo_period_s) + ")"};
+        }
+        const double ticks = query.hours * 3600.0 / query.slo_period_s;
+        if (!(ticks <= static_cast<double>(kMaxSloTicks))) {  // also rejects NaN
+          return Error{"slo query hours=" + fields.at("hours") + " with period=" +
+                       fields.at("period") + " asks for " + std::to_string(ticks) +
+                       " control ticks (max " + std::to_string(kMaxSloTicks) +
+                       "); raise period= or lower hours="};
+        }
       }
       break;
   }

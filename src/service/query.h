@@ -35,6 +35,12 @@ enum class QueryKind {
 
 const char* QueryKindName(QueryKind kind);
 
+// Most SLO control ticks one `slo` query may ask for: hours * 3600 / period.
+// Bounds the work a single query line can demand of the service. Without
+// period= the snapshot's own control period applies, so only period= can
+// raise the count past what the snapshot's run already does.
+constexpr int64_t kMaxSloTicks = 100000;
+
 struct WhatIfQuery {
   QueryKind kind = QueryKind::kRun;
 

@@ -44,7 +44,7 @@ struct DeflationStats {
 
 // Per-low-priority-VM CPU deflation (1 - effective/nominal), folded in
 // canonical (server, hosting) order, then sorted -- a fully deterministic
-// distribution for any thread count (the child runs inline anyway).
+// distribution.
 DeflationStats CollectDeflation(ClusterManager& manager) {
   std::vector<ClusterManager::ServerUsageSample> samples;
   manager.CollectUsageSamples(&samples);
@@ -97,7 +97,6 @@ Result<SimSession> WhatIfService::RestoreChild(
     const SimSession::RestoreOptions::SloOverride* slo) const {
   SimSession::RestoreOptions options;
   options.telemetry = telemetry;
-  options.threads = 1;
   options.placement = placement;
   if (slo != nullptr) {
     options.slo = *slo;

@@ -6,9 +6,9 @@
 //   std::string report = service.value().AnswerBatch(queries, /*workers=*/8);
 //
 // Isolation model: every query gets its own SimSession (restored zero-copy
-// via SimSession::RestoreView), its own fresh TelemetryContext, and an
-// inline (threads=1) pool, so concurrent queries share exactly one thing --
-// the const blob -- and an answer depends only on (blob, query). That is
+// via SimSession::RestoreView) and its own fresh TelemetryContext, and runs
+// on the one thread that answers it, so concurrent queries share exactly
+// one thing -- the const blob -- and an answer depends only on (blob, query). That is
 // what makes AnswerBatch byte-identical at every worker count: results are
 // written into a slot per query and joined in input order.
 #ifndef SRC_SERVICE_WHATIF_H_
@@ -49,8 +49,8 @@ class WhatIfService {
   // fresh; `placement` >= 0 overrides the future placement policy (the
   // sweep orchestrator's policy axis); `slo` (when non-null and active)
   // overrides the interactive-serving SLO config on the child, enabling it
-  // if the snapshot ran without one. Children restore with threads=1:
-  // queries parallelize across sessions, never inside one.
+  // if the snapshot ran without one. Queries parallelize across sessions,
+  // never inside one.
   Result<SimSession> RestoreChild(
       TelemetryContext* telemetry, int placement = -1,
       const SimSession::RestoreOptions::SloOverride* slo = nullptr) const;

@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "tests/cluster/placement_reference.h"
+
 namespace defl {
 namespace {
 
@@ -18,12 +20,20 @@ std::unique_ptr<Vm> MakeVm(VmId id, double cpus, double mem_mb,
   return std::make_unique<Vm>(id, spec);
 }
 
+// Four empty 16-core servers mirrored into a FleetView; the behaviour cases
+// place through PlaceVmFleet over all four rows.
 class PlacementFixture : public ::testing::Test {
  protected:
   PlacementFixture() : rng_(7) {
     for (int i = 0; i < 4; ++i) {
       servers_.push_back(std::make_unique<Server>(i, ResourceVector(16.0, 65536.0)));
     }
+    fleet_.Bind(servers_);
+  }
+
+  Result<size_t> Place(const ResourceVector& demand, PlacementPolicy policy,
+                       AvailabilityMode mode = AvailabilityMode::kFreePlusDeflatable) {
+    return PlaceVmFleet(demand, fleet_, rows_, policy, rng_, mode);
   }
 
   std::vector<Server*> Servers() {
@@ -35,13 +45,16 @@ class PlacementFixture : public ::testing::Test {
   }
 
   std::vector<std::unique_ptr<Server>> servers_;
+  // Declared after servers_ so it detaches from them before they die.
+  FleetView fleet_;
+  const std::vector<uint32_t> rows_ = {0, 1, 2, 3};
   Rng rng_;
 };
 
 TEST_F(PlacementFixture, FirstFitPicksLowestIndexFeasible) {
   servers_[0]->AddVm(MakeVm(1, 16.0, 65536.0, VmPriority::kHigh));  // full, rigid
-  const Result<size_t> placed = PlaceVm(ResourceVector(4.0, 16384.0), Servers(),
-                                        PlacementPolicy::kFirstFit, rng_);
+  const Result<size_t> placed =
+      Place(ResourceVector(4.0, 16384.0), PlacementPolicy::kFirstFit);
   ASSERT_TRUE(placed.ok());
   EXPECT_EQ(placed.value(), 1u);
 }
@@ -52,8 +65,7 @@ TEST_F(PlacementFixture, BestFitPrefersMatchingShape) {
   // Demand is memory-heavy: best-fit should avoid server 0 whose
   // availability is CPU-skewed.
   const ResourceVector demand(2.0, 32768.0);
-  const Result<size_t> placed =
-      PlaceVm(demand, Servers(), PlacementPolicy::kBestFit, rng_);
+  const Result<size_t> placed = Place(demand, PlacementPolicy::kBestFit);
   ASSERT_TRUE(placed.ok());
   const double fit0 = PlacementFitness(demand, servers_[0]->Availability());
   const double fit_chosen =
@@ -65,13 +77,13 @@ TEST_F(PlacementFixture, DeflatableResourcesCountTowardAvailability) {
   for (auto& s : servers_) {
     s->AddVm(MakeVm(100 + s->id(), 16.0, 65536.0, VmPriority::kLow));  // full
   }
-  const Result<size_t> with = PlaceVm(ResourceVector(8.0, 32768.0), Servers(),
-                                      PlacementPolicy::kFirstFit, rng_,
-                                      AvailabilityMode::kFreePlusDeflatable);
+  const Result<size_t> with = Place(ResourceVector(8.0, 32768.0),
+                                    PlacementPolicy::kFirstFit,
+                                    AvailabilityMode::kFreePlusDeflatable);
   EXPECT_TRUE(with.ok());
-  const Result<size_t> without = PlaceVm(ResourceVector(8.0, 32768.0), Servers(),
-                                         PlacementPolicy::kFirstFit, rng_,
-                                         AvailabilityMode::kFreeOnly);
+  const Result<size_t> without = Place(ResourceVector(8.0, 32768.0),
+                                       PlacementPolicy::kFirstFit,
+                                       AvailabilityMode::kFreeOnly);
   EXPECT_FALSE(without.ok());
 }
 
@@ -82,8 +94,7 @@ TEST_F(PlacementFixture, NoFeasibleServerIsAnError) {
   for (const PlacementPolicy policy :
        {PlacementPolicy::kBestFit, PlacementPolicy::kFirstFit,
         PlacementPolicy::kTwoChoices}) {
-    const Result<size_t> placed =
-        PlaceVm(ResourceVector(1.0, 1024.0), Servers(), policy, rng_);
+    const Result<size_t> placed = Place(ResourceVector(1.0, 1024.0), policy);
     EXPECT_FALSE(placed.ok()) << PlacementPolicyName(policy);
   }
 }
@@ -92,8 +103,8 @@ TEST_F(PlacementFixture, TwoChoicesReturnsFeasibleServer) {
   servers_[0]->AddVm(MakeVm(1, 16.0, 65536.0, VmPriority::kHigh));
   servers_[2]->AddVm(MakeVm(2, 16.0, 65536.0, VmPriority::kHigh));
   for (int i = 0; i < 50; ++i) {
-    const Result<size_t> placed = PlaceVm(ResourceVector(8.0, 32768.0), Servers(),
-                                          PlacementPolicy::kTwoChoices, rng_);
+    const Result<size_t> placed =
+        Place(ResourceVector(8.0, 32768.0), PlacementPolicy::kTwoChoices);
     ASSERT_TRUE(placed.ok());
     EXPECT_TRUE(placed.value() == 1 || placed.value() == 3);
   }
@@ -107,8 +118,7 @@ TEST_F(PlacementFixture, TwoChoicesPrefersFitterOfTwo) {
   const ResourceVector demand(2.0, 8192.0);
   int chose_zero = 0;
   for (int i = 0; i < 200; ++i) {
-    const Result<size_t> placed =
-        PlaceVm(demand, Servers(), PlacementPolicy::kTwoChoices, rng_);
+    const Result<size_t> placed = Place(demand, PlacementPolicy::kTwoChoices);
     ASSERT_TRUE(placed.ok());
     if (placed.value() == 0) {
       ++chose_zero;
@@ -133,28 +143,31 @@ TEST(PlacementTwoChoicesTest, ProbesAreDistinct) {
   spec.size = ResourceVector(1.0, 57344.0);
   spec.priority = VmPriority::kHigh;
   owned[0]->AddVm(std::make_unique<Vm>(100, spec));
-  const std::vector<Server*> servers = {owned[0].get(), owned[1].get()};
+  FleetView fleet;
+  fleet.Bind(owned);
   const ResourceVector demand(2.0, 8192.0);
-  const double fit0 = PlacementFitness(demand, servers[0]->Availability());
-  const double fit1 = PlacementFitness(demand, servers[1]->Availability());
+  const double fit0 = PlacementFitness(demand, owned[0]->Availability());
+  const double fit1 = PlacementFitness(demand, owned[1]->Availability());
   ASSERT_NE(fit0, fit1);
   const size_t fitter = fit0 >= fit1 ? 0u : 1u;
   for (uint64_t seed = 1; seed <= 300; ++seed) {
     Rng rng(seed);
     const Result<size_t> placed =
-        PlaceVm(demand, servers, PlacementPolicy::kTwoChoices, rng);
+        PlaceVmFleet(demand, fleet, {0, 1}, PlacementPolicy::kTwoChoices, rng);
     ASSERT_TRUE(placed.ok());
     EXPECT_EQ(placed.value(), fitter) << "seed " << seed;
   }
 }
 
 TEST(PlacementTwoChoicesTest, SingleServerStillPlaces) {
-  std::unique_ptr<Server> server =
-      std::make_unique<Server>(0, ResourceVector(16.0, 65536.0));
+  std::vector<std::unique_ptr<Server>> owned;
+  owned.push_back(std::make_unique<Server>(0, ResourceVector(16.0, 65536.0)));
+  FleetView fleet;
+  fleet.Bind(owned);
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
-    const Result<size_t> placed = PlaceVm(ResourceVector(2.0, 8192.0), {server.get()},
-                                          PlacementPolicy::kTwoChoices, rng);
+    const Result<size_t> placed = PlaceVmFleet(ResourceVector(2.0, 8192.0), fleet, {0},
+                                               PlacementPolicy::kTwoChoices, rng);
     ASSERT_TRUE(placed.ok());
     EXPECT_EQ(placed.value(), 0u);
   }
@@ -180,11 +193,9 @@ TEST(PlacementFitnessTest, DegenerateVectorsScoreZeroNotNan) {
 
 TEST_F(PlacementFixture, FleetScanMatchesObjectScanOnDegenerateDemand) {
   // A zero demand is feasible everywhere with fitness 0 on every server;
-  // both paths must fall back to the same lowest-index tie-break.
+  // the fleet scan and the serial reference must fall back to the same
+  // lowest-index tie-break.
   servers_[0]->AddVm(MakeVm(1, 16.0, 65536.0, VmPriority::kHigh));  // full, rigid
-  FleetView fleet;
-  fleet.Bind(servers_);
-  const std::vector<uint32_t> rows = {0, 1, 2, 3};
   const ResourceVector demand;  // zero
   for (const PlacementPolicy policy :
        {PlacementPolicy::kBestFit, PlacementPolicy::kFirstFit}) {
@@ -192,7 +203,7 @@ TEST_F(PlacementFixture, FleetScanMatchesObjectScanOnDegenerateDemand) {
     Rng fleet_rng(3);
     const Result<size_t> object_pick = PlaceVm(demand, Servers(), policy, object_rng);
     const Result<size_t> fleet_pick =
-        PlaceVmFleet(demand, fleet, rows, policy, fleet_rng);
+        PlaceVmFleet(demand, fleet_, rows_, policy, fleet_rng);
     ASSERT_TRUE(object_pick.ok());
     ASSERT_TRUE(fleet_pick.ok());
     EXPECT_EQ(object_pick.value(), fleet_pick.value());
@@ -207,24 +218,35 @@ TEST(PlacementPolicyTest, Names) {
 
 TEST(PlacementEdgeTest, EmptyServerListIsAnError) {
   Rng rng(1);
-  EXPECT_FALSE(PlaceVm(ResourceVector(1.0, 1.0), {}, PlacementPolicy::kBestFit, rng).ok());
+  FleetView fleet;
+  EXPECT_FALSE(
+      PlaceVmFleet(ResourceVector(1.0, 1.0), fleet, {}, PlacementPolicy::kBestFit, rng)
+          .ok());
 }
 
 TEST(PlacementAvailabilityTest, PreemptibleModeCountsWholeLowPriorityVms) {
-  Server server(1, ResourceVector(16.0, 65536.0));
+  std::vector<std::unique_ptr<Server>> owned;
+  owned.push_back(std::make_unique<Server>(0, ResourceVector(16.0, 65536.0)));
   VmSpec spec;
   spec.name = "low";
   spec.size = ResourceVector(12.0, 49152.0);
   spec.priority = VmPriority::kLow;
   spec.min_size = spec.size * 0.75;  // barely deflatable
-  server.AddVm(std::make_unique<Vm>(1, spec));
-  const ResourceVector deflatable =
-      ServerAvailability(server, AvailabilityMode::kFreePlusDeflatable);
-  const ResourceVector preemptible =
-      ServerAvailability(server, AvailabilityMode::kFreePlusPreemptible);
-  EXPECT_DOUBLE_EQ(deflatable.cpu(), 4.0 + 3.0);
-  EXPECT_DOUBLE_EQ(preemptible.cpu(), 4.0 + 12.0);
-  EXPECT_DOUBLE_EQ(ServerAvailability(server, AvailabilityMode::kFreeOnly).cpu(), 4.0);
+  owned[0]->AddVm(std::make_unique<Vm>(1, spec));
+  FleetView fleet;
+  fleet.Bind(owned);
+  fleet.Refresh();
+  for (const AvailabilityMode mode :
+       {AvailabilityMode::kFreeOnly, AvailabilityMode::kFreePlusDeflatable,
+        AvailabilityMode::kFreePlusPreemptible}) {
+    EXPECT_EQ(FleetAvailability(fleet, 0, mode), ServerAvailability(*owned[0], mode))
+        << "mode " << static_cast<int>(mode);
+  }
+  EXPECT_DOUBLE_EQ(
+      FleetAvailability(fleet, 0, AvailabilityMode::kFreePlusDeflatable).cpu(), 4.0 + 3.0);
+  EXPECT_DOUBLE_EQ(
+      FleetAvailability(fleet, 0, AvailabilityMode::kFreePlusPreemptible).cpu(), 4.0 + 12.0);
+  EXPECT_DOUBLE_EQ(FleetAvailability(fleet, 0, AvailabilityMode::kFreeOnly).cpu(), 4.0);
 }
 
 }  // namespace

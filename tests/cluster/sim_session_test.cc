@@ -59,9 +59,6 @@ TEST(SimSessionTest, OpenRejectsInvalidConfig) {
   config = SmallSim();
   config.sample_period_s = 0.0;
   EXPECT_FALSE(SimSession::Open(config).ok());
-  config = SmallSim();
-  config.cluster.threads = 0;
-  EXPECT_FALSE(SimSession::Open(config).ok());
 }
 
 TEST(SimSessionTest, SteppedRunEqualsBatchRun) {
@@ -141,36 +138,29 @@ TEST(SimSessionTest, SnapshotRestoreIsByteInvisible) {
 }
 
 TEST(SimSessionTest, SnapshotIsThreadCountIndependent) {
-  // A snapshot taken at --threads 1 must equal one taken at --threads 7 at
-  // the same boundary, and restoring with a different thread count must not
-  // change the remainder of the run.
-  std::string snapshots[2];
-  int i = 0;
-  for (const int threads : {1, 7}) {
-    ClusterSimConfig config = SmallSim();
-    config.cluster.threads = threads;
+  // Runs used to be sharded over ClusterConfig::threads, and snapshots still
+  // carry that slot. A session opened with threads = 7 (what a --threads=7
+  // run serialized) must snapshot, restore and finish to the same export as
+  // the default config.
+  ClusterSimConfig config = SmallSim();
+  config.cluster.threads = 7;
+  std::string bytes;
+  {
     TelemetryContext telemetry;  // trace enabled, as in UninterruptedExport
     config.telemetry = &telemetry;
     Result<SimSession> session = SimSession::Open(config);
     ASSERT_TRUE(session.ok()) << session.error();
     session.value().StepUntil(3600.0);
-    snapshots[i++] = session.value().SnapshotBytes();
+    bytes = session.value().SnapshotBytes();
   }
-  // The serialized thread count itself is part of the config section, so
-  // normalize via restore: both must produce identical final exports.
-  std::string exports[2];
-  for (int s = 0; s < 2; ++s) {
-    TelemetryContext telemetry;
-    SimSession::RestoreOptions options;
-    options.telemetry = &telemetry;
-    options.threads = 2;
-    Result<SimSession> restored = SimSession::RestoreBytes(snapshots[s], options);
-    ASSERT_TRUE(restored.ok()) << restored.error();
-    restored.value().Finish();
-    exports[s] = Export(telemetry);
-  }
-  EXPECT_EQ(exports[0], exports[1]);
-  EXPECT_EQ(exports[0], UninterruptedExport(SmallSim()));
+  TelemetryContext telemetry;
+  SimSession::RestoreOptions options;
+  options.telemetry = &telemetry;
+  Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+  ASSERT_TRUE(restored.ok()) << restored.error();
+  EXPECT_EQ(restored.value().config().cluster.threads, 7);
+  restored.value().Finish();
+  EXPECT_EQ(Export(telemetry), UninterruptedExport(SmallSim()));
 }
 
 TEST(SimSessionTest, SnapshotFileRoundTripsAndCleansUp) {
@@ -249,25 +239,6 @@ TEST(SimSessionTest, RestoreRejectsUsedTelemetryContext) {
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.error().find("mismatch"), std::string::npos)
       << restored.error();
-}
-
-TEST(SimSessionTest, DeprecatedOverloadStillRoutesThroughConfigSink) {
-  // The shim must behave exactly like setting ClusterSimConfig::telemetry.
-  TelemetryContext via_overload;
-  TelemetryContext via_config;
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  const ClusterSimResult a = RunClusterSim(SmallSim(), &via_overload);
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
-  ClusterSimConfig config = SmallSim();
-  config.telemetry = &via_config;
-  const ClusterSimResult b = RunClusterSim(config);
-  EXPECT_EQ(a.counters.launched, b.counters.launched);
-  EXPECT_EQ(Export(via_overload), Export(via_config));
 }
 
 }  // namespace

@@ -100,64 +100,5 @@ TEST(EpochArenaTest, TypedNewConstructsInPlace) {
   EXPECT_EQ(xs[127], 127);
 }
 
-TEST(ShardScratchTest, RetireKeepsCapacityAndEmptiesBuffers) {
-  ShardScratch<int> scratch;
-  scratch.EnsureShards(4);
-  ASSERT_EQ(scratch.shards(), 4u);
-  for (size_t s = 0; s < 4; ++s) {
-    for (int i = 0; i < 100; ++i) {
-      scratch.shard(s).push_back(static_cast<int>(s) * 1000 + i);
-    }
-  }
-  std::vector<size_t> capacities;
-  for (size_t s = 0; s < 4; ++s) {
-    capacities.push_back(scratch.shard(s).capacity());
-  }
-  scratch.Retire();
-  for (size_t s = 0; s < 4; ++s) {
-    EXPECT_TRUE(scratch.shard(s).empty());
-    EXPECT_EQ(scratch.shard(s).capacity(), capacities[s]) << "shard " << s;
-  }
-}
-
-TEST(ShardScratchTest, RetireReclaimOrderingAcrossPhases) {
-  // Models the coordinator protocol: fill (workers) -> fold (coordinator,
-  // canonical shard order) -> retire. A second phase must observe only its
-  // own writes, never phase-1 residue, and reuse the same heap buffers.
-  ShardScratch<int> scratch;
-  scratch.EnsureShards(3);
-  for (size_t s = 0; s < 3; ++s) {
-    scratch.shard(s).push_back(static_cast<int>(s) + 1);
-  }
-  int fold = 0;
-  for (size_t s = 0; s < 3; ++s) {
-    for (const int v : scratch.shard(s)) {
-      fold = fold * 10 + v;
-    }
-  }
-  EXPECT_EQ(fold, 123);  // canonical shard order
-  const int* phase1_data = scratch.shard(0).data();
-  scratch.Retire();
-  for (size_t s = 0; s < 3; ++s) {
-    scratch.shard(s).push_back(static_cast<int>(s) + 7);
-  }
-  EXPECT_EQ(scratch.shard(0).size(), 1u);
-  EXPECT_EQ(scratch.shard(0)[0], 7);
-  // Same backing store, no reallocation between phases.
-  EXPECT_EQ(scratch.shard(0).data(), phase1_data);
-}
-
-TEST(ShardScratchTest, EnsureShardsGrowsButNeverShrinks) {
-  ShardScratch<double> scratch;
-  scratch.EnsureShards(2);
-  scratch.shard(1).push_back(4.0);
-  scratch.EnsureShards(5);
-  EXPECT_EQ(scratch.shards(), 5u);
-  ASSERT_EQ(scratch.shard(1).size(), 1u);
-  EXPECT_DOUBLE_EQ(scratch.shard(1)[0], 4.0);
-  scratch.EnsureShards(1);  // no-op
-  EXPECT_EQ(scratch.shards(), 5u);
-}
-
 }  // namespace
 }  // namespace defl

@@ -71,8 +71,9 @@ TEST(ThreadPoolTest, BackToBackJobsDoNotLeakItems) {
 }
 
 TEST(ThreadPoolTest, ShardedSumMatchesSequential) {
-  // The usage pattern of the sharded sweeps: workers fill disjoint slots,
-  // the caller folds them in canonical order after the barrier.
+  // The usage pattern of AnswerBatch and the sweep orchestrator: workers
+  // fill disjoint slots, the caller folds them in canonical order after the
+  // barrier.
   constexpr int64_t kItems = 4096;
   std::vector<double> values(kItems);
   for (int64_t i = 0; i < kItems; ++i) {

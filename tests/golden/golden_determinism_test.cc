@@ -1,10 +1,11 @@
-// Golden end-to-end determinism suite (DESIGN.md §10): every simulation
-// scenario -- including each shipped examples/*.plan fault plan -- must
-// produce byte-identical metrics JSON and event-trace JSONL whether it runs
-// on 1 thread or 8. On top of the pairwise comparison, the 1-thread output
-// is hashed and pinned against tests/golden/golden_digests.txt, so any
-// change to the simulation's observable output (intended or not) shows up
-// in review as a digest diff.
+// Golden end-to-end determinism suite: every simulation scenario --
+// including each shipped examples/*.plan fault plan -- has its metrics JSON
+// and event-trace JSONL hashed and pinned against
+// tests/golden/golden_digests.txt, so any change to the simulation's
+// observable output (intended or not) shows up in review as a digest diff.
+// The same bytes must come out across a mid-run snapshot/restore and when
+// the config carries a thread count in ClusterConfig::threads, a slot that
+// nothing reads but that older configs and snapshots set.
 //
 // To regenerate after an intended output change:
 //   DEFL_UPDATE_GOLDEN=1 ./golden_determinism_test
@@ -123,9 +124,10 @@ ClusterSimConfig MakeConfig(const std::string& name) {
   return config;
 }
 
-// Runs the scenario at the given thread count and returns the full
-// observable output: metrics JSON, then the event-trace JSONL.
-std::string RunScenario(const std::string& name, int threads) {
+// Runs the scenario with `threads` in the config's unused thread-count slot
+// and returns the full observable output: metrics JSON, then the event-trace
+// JSONL.
+std::string RunScenario(const std::string& name, int threads = 1) {
   ClusterSimConfig config = MakeConfig(name);
   config.cluster.threads = threads;
   TelemetryContext telemetry;
@@ -140,10 +142,9 @@ std::string RunScenario(const std::string& name, int threads) {
 }
 
 // Runs the scenario to its halfway point, snapshots, drops the session (as
-// if the process were killed), restores into a FRESH telemetry context at a
-// different thread count, and finishes. Returns the resumed run's output.
-std::string RunScenarioWithSnapshot(const std::string& name, int threads,
-                                    int restore_threads) {
+// if the process were killed), restores into a FRESH telemetry context, and
+// finishes. Returns the resumed run's output.
+std::string RunScenarioWithSnapshot(const std::string& name, int threads) {
   ClusterSimConfig config = MakeConfig(name);
   config.cluster.threads = threads;
   std::string bytes;
@@ -162,7 +163,6 @@ std::string RunScenarioWithSnapshot(const std::string& name, int threads,
   TelemetryContext resumed;
   SimSession::RestoreOptions options;
   options.telemetry = &resumed;
-  options.threads = restore_threads;
   Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
   EXPECT_TRUE(restored.ok()) << restored.error();
   if (!restored.ok()) {
@@ -190,18 +190,17 @@ std::map<std::string, std::string> LoadDigests() {
 class GoldenDeterminismTest : public testing::TestWithParam<const char*> {};
 
 TEST_P(GoldenDeterminismTest, ThreadCountDoesNotChangeOutput) {
+  // A config written for an 8-thread run must replay the default bytes.
   const std::string name = GetParam();
-  const std::string one = RunScenario(name, 1);
-  const std::string eight = RunScenario(name, 8);
-  // Byte-for-byte: the sharded sweeps must be invisible in the output.
-  ASSERT_EQ(one, eight) << "scenario " << name
-                        << ": output differs between --threads 1 and 8";
+  const std::string one = RunScenario(name);
+  ASSERT_EQ(one, RunScenario(name, 8))
+      << "scenario " << name << ": cluster.threads = 8 changed the output";
   EXPECT_FALSE(one.empty());
 }
 
 TEST_P(GoldenDeterminismTest, MatchesCheckedInDigest) {
   const std::string name = GetParam();
-  const std::string digest = HexDigest(Fnv1a64(RunScenario(name, 1)));
+  const std::string digest = HexDigest(Fnv1a64(RunScenario(name)));
   if (std::getenv("DEFL_UPDATE_GOLDEN") != nullptr) {
     // Regeneration mode: print the line to paste into the digest file.
     std::printf("GOLDEN %s %s\n", name.c_str(), digest.c_str());
@@ -219,14 +218,15 @@ TEST_P(GoldenDeterminismTest, MatchesCheckedInDigest) {
 
 TEST_P(GoldenDeterminismTest, SnapshotMidRunDoesNotChangeOutput) {
   // Kill-at-halfway + restore must be byte-invisible against the same
-  // uninterrupted output the digest file pins, at both thread pairings.
+  // uninterrupted output the digest file pins, also for a snapshot that
+  // records an 8-thread run.
   const std::string name = GetParam();
-  const std::string uninterrupted = RunScenario(name, 1);
+  const std::string uninterrupted = RunScenario(name);
   ASSERT_FALSE(uninterrupted.empty());
-  EXPECT_EQ(uninterrupted, RunScenarioWithSnapshot(name, 1, 8))
-      << "scenario " << name << ": snapshot at threads 1, restore at 8";
-  EXPECT_EQ(uninterrupted, RunScenarioWithSnapshot(name, 8, 1))
-      << "scenario " << name << ": snapshot at threads 8, restore at 1";
+  EXPECT_EQ(uninterrupted, RunScenarioWithSnapshot(name, 1))
+      << "scenario " << name << ": snapshot/restore changed the output";
+  EXPECT_EQ(uninterrupted, RunScenarioWithSnapshot(name, 8))
+      << "scenario " << name << ": snapshot recording threads 8";
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, GoldenDeterminismTest,

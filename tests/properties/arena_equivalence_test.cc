@@ -3,8 +3,9 @@
 // performance machinery -- they must be invisible in every observable byte.
 // Randomized cluster configurations (server count, load, strategy, policy,
 // tick periods drawn from DEFL_FAULT_SEED) are run to completion and must
-// export byte-identical telemetry across thread counts {1, 2, 7}, across a
-// mid-run snapshot/restore, and across a durable-recovery boundary. The
+// export byte-identical telemetry whatever the unused ClusterConfig::threads
+// slot holds ({1, 2, 7}), across a mid-run snapshot/restore, and across a
+// durable-recovery boundary. The
 // snapshot bytes themselves must not depend on warm arena/pool state: a
 // fresh run and a restored run snapshotted at the same instant (with very
 // different recycled-memory footprints) must serialize identically.
@@ -69,7 +70,8 @@ std::string Export(const TelemetryContext& telemetry) {
   return os.str();
 }
 
-std::string RunUninterrupted(ClusterSimConfig config, int threads) {
+// `threads` fills the config's unused thread-count slot.
+std::string RunUninterrupted(ClusterSimConfig config, int threads = 1) {
   config.cluster.threads = threads;
   TelemetryContext telemetry;
   config.telemetry = &telemetry;
@@ -86,7 +88,7 @@ TEST(ArenaEquivalenceTest, RandomConfigsAreByteIdenticalAcrossThreadCounts) {
   Rng rng(TestSeed() ^ 0xa4e7aULL);
   for (int trial = 0; trial < 3; ++trial) {
     const ClusterSimConfig config = RandomConfig(rng);
-    const std::string reference = RunUninterrupted(config, 1);
+    const std::string reference = RunUninterrupted(config);
     ASSERT_FALSE(reference.empty());
     for (const int threads : kThreadCounts) {
       EXPECT_EQ(reference, RunUninterrupted(config, threads))
@@ -99,11 +101,9 @@ TEST(ArenaEquivalenceTest, MidRunRestoreIsInvisibleUnderRandomConfigs) {
   Rng rng(TestSeed() ^ 0x5ca7c4ULL);
   for (int trial = 0; trial < 3; ++trial) {
     const ClusterSimConfig config = RandomConfig(rng);
-    const std::string reference = RunUninterrupted(config, 1);
+    const std::string reference = RunUninterrupted(config);
     const double kill_at_s = rng.Uniform(0.0, config.trace.duration_s);
     const int threads =
-        kThreadCounts[static_cast<size_t>(rng.UniformInt(0, 2))];
-    const int restore_threads =
         kThreadCounts[static_cast<size_t>(rng.UniformInt(0, 2))];
     std::string bytes;
     {
@@ -119,13 +119,12 @@ TEST(ArenaEquivalenceTest, MidRunRestoreIsInvisibleUnderRandomConfigs) {
     TelemetryContext resumed;
     SimSession::RestoreOptions options;
     options.telemetry = &resumed;
-    options.threads = restore_threads;
     Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
     ASSERT_TRUE(restored.ok()) << restored.error();
     restored.value().Finish();
     EXPECT_EQ(reference, Export(resumed))
         << "trial " << trial << ": kill at " << kill_at_s << "s, threads "
-        << threads << " -> " << restore_threads;
+        << threads;
   }
 }
 
@@ -186,13 +185,12 @@ TEST(ArenaEquivalenceTest, DurableRecoveryBoundaryIsInvisible) {
   std::filesystem::remove_all(dir);
   Rng rng(TestSeed() ^ 0xd00dULL);
   const ClusterSimConfig config = RandomConfig(rng);
-  const std::string reference = RunUninterrupted(config, 1);
+  const std::string reference = RunUninterrupted(config);
   {
     // A real telemetry sink (trace enabled) so checkpoints carry the trace,
     // exactly as the CLI's --durable-dir path does.
     TelemetryContext telemetry;
     ClusterSimConfig run = config;
-    run.cluster.threads = 1;
     run.telemetry = &telemetry;
     DurableSession::Options options;
     options.dir = dir;

@@ -2,14 +2,13 @@
 // killed with REAL SIGKILLs -- at seeded random crash points inside the WAL
 // append, the checkpoint protocol, and the atomic rename dance -- and then
 // recovered must finish with output byte-identical to an uninterrupted run.
-// Kill chains span generations (a recovery can itself be killed), and the
-// thread count is re-rolled on every generation, so the determinism contract
-// is exercised across the crash boundary too. Kill points are drawn from
-// DEFL_FAULT_SEED so CI's seed matrix explores different schedules each leg.
+// Kill chains span generations (a recovery can itself be killed). Kill
+// points are drawn from DEFL_FAULT_SEED so CI's seed matrix explores
+// different schedules each leg.
 //
 // The killing happens in forked children; the parent stays single-threaded
-// (its own sessions run threads=1 and are destroyed before any fork), so the
-// test is safe under TSan.
+// (its own sessions are destroyed before any fork), so the test is safe
+// under TSan.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -30,8 +29,6 @@
 
 namespace defl {
 namespace {
-
-const int kThreadCounts[] = {1, 2, 7};
 
 // Crash points a generation can die at, covering a torn WAL record, a
 // durable-but-unacted command, both halves of the checkpoint protocol, and
@@ -74,7 +71,6 @@ std::string Export(const TelemetryContext& telemetry) {
 }
 
 std::string RunUninterrupted(ClusterSimConfig config) {
-  config.cluster.threads = 1;
   TelemetryContext telemetry;
   config.telemetry = &telemetry;
   Result<SimSession> session = SimSession::Open(config);
@@ -87,7 +83,7 @@ std::string RunUninterrupted(ClusterSimConfig config) {
 // durable run, drive it to completion. Exit codes: 0 = finished, SIGKILL =
 // died at the armed point (expected), anything else = a real failure.
 void GenerationChild(const ClusterSimConfig& config, const std::string& dir,
-                     int threads, const char* crash_point, int64_t countdown) {
+                     const char* crash_point, int64_t countdown) {
   if (crash_point != nullptr) {
     ArmCrashPointForTest(crash_point, countdown);
   }
@@ -98,14 +94,12 @@ void GenerationChild(const ClusterSimConfig& config, const std::string& dir,
   options.dir = dir;
   options.checkpoint_every_s = 600.0;
   options.keep_checkpoints = 2;
-  options.threads = threads;
   Result<DurableSession> durable = Error{"unopened"};
   if (DurableSession::CanRecover(dir)) {
     options.telemetry = &telemetry;
     durable = DurableSession::Recover(options);
   } else {
     ClusterSimConfig fresh = config;
-    fresh.cluster.threads = threads;
     fresh.telemetry = &telemetry;
     durable = DurableSession::Create(fresh, options);
   }
@@ -124,8 +118,6 @@ int RunKillChain(const ClusterSimConfig& config, const std::string& dir,
                  Rng& rng, Plan plan, int max_generations = 32) {
   int kills = 0;
   for (int generation = 0; generation < max_generations; ++generation) {
-    const int threads =
-        kThreadCounts[static_cast<size_t>(rng.UniformInt(0, 2))];
     const char* point = plan(generation);
     const int64_t countdown = rng.UniformInt(1, 6);
     const pid_t pid = ::fork();
@@ -134,7 +126,7 @@ int RunKillChain(const ClusterSimConfig& config, const std::string& dir,
       return kills;
     }
     if (pid == 0) {
-      GenerationChild(config, dir, threads, point, countdown);
+      GenerationChild(config, dir, point, countdown);
     }
     int status = 0;
     EXPECT_EQ(::waitpid(pid, &status, 0), pid);
@@ -159,7 +151,6 @@ std::string RecoveredExport(const std::string& dir) {
   TelemetryContext telemetry;
   SimSession::RestoreOptions options;
   options.telemetry = &telemetry;
-  options.threads = 1;
   Result<SimSession> session = SimSession::Recover(dir, options);
   EXPECT_TRUE(session.ok()) << session.error();
   if (!session.ok()) {
@@ -188,8 +179,7 @@ TEST_F(DurableRecoveryTest, SeededKillChainsRecoverByteIdentically) {
   ASSERT_FALSE(reference.empty());
   Rng rng(TestSeed() ^ 0xdead5afeULL);
   // Each generation dies at a seeded crash point until three kills landed,
-  // then runs clean. Double/triple-kill chains arise by construction; the
-  // thread count is re-rolled per generation.
+  // then runs clean. Double/triple-kill chains arise by construction.
   int planned_kills = 3;
   const int kills = RunKillChain(config, dir_, rng, [&](int) -> const char* {
     if (planned_kills <= 0) {
@@ -251,7 +241,7 @@ TEST_F(DurableRecoveryTest, DirectoryKilledBeforeGenesisIsNotRecoverable) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    GenerationChild(config, dir_, 1, "atomic-tmp-synced", 1);
+    GenerationChild(config, dir_, "atomic-tmp-synced", 1);
   }
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);

@@ -4,10 +4,9 @@
 // crashes, recoveries -- a Refresh()ed FleetView row must be EXACTLY equal
 // (bitwise, not approximately) to the owning server's accessors, and the
 // SoA placement scan (PlaceVmFleet) must return the same decision as the
-// object-graph scan (PlaceVm) for every policy and availability mode,
-// including the 2-choices RNG draw sequence. Runs the whole sequence at
-// thread counts {1, 2, 7}: the sharded SoA scans must be invisible in the
-// outcome. Seeded from DEFL_FAULT_SEED so CI can run a seed matrix.
+// serial object-graph reference (tests/cluster/placement_reference.h) for
+// every policy and availability mode, including the 2-choices RNG draw
+// sequence. Seeded from DEFL_FAULT_SEED so CI can run a seed matrix.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,6 +17,7 @@
 
 #include "src/cluster/cluster_manager.h"
 #include "src/cluster/placement.h"
+#include "tests/cluster/placement_reference.h"
 
 namespace defl {
 namespace {
@@ -53,9 +53,9 @@ void ExpectMirrorExact(ClusterManager& manager) {
   }
 }
 
-// The SoA scan and the object-graph scan must agree exactly -- same
+// The SoA scan and the object-graph reference must agree exactly -- same
 // feasibility verdict, same chosen server, same RNG consumption -- for
-// every policy x availability mode, sharded or not.
+// every policy x availability mode.
 void ExpectScanEquivalent(ClusterManager& manager, Rng& rng) {
   std::vector<Server*> servers = manager.servers();
   std::vector<uint32_t> rows;
@@ -74,10 +74,13 @@ void ExpectScanEquivalent(ClusterManager& manager, Rng& rng) {
       const std::array<uint64_t, 4> saved = rng.SaveState();
       const Result<size_t> object_pick =
           PlaceVm(demand, servers, policy, rng, mode);
+      const std::array<uint64_t, 4> object_after = rng.SaveState();
       rng.RestoreState(saved);
       const Result<size_t> fleet_pick =
-          PlaceVmFleet(demand, manager.fleet(), rows, policy, rng, mode,
-                       manager.thread_pool());
+          PlaceVmFleet(demand, manager.fleet(), rows, policy, rng, mode);
+      EXPECT_EQ(object_after, rng.SaveState())
+          << PlacementPolicyName(policy) << " mode " << static_cast<int>(mode)
+          << ": different RNG consumption";
       ASSERT_EQ(object_pick.ok(), fleet_pick.ok())
           << PlacementPolicyName(policy) << " mode " << static_cast<int>(mode);
       if (object_pick.ok()) {
@@ -99,8 +102,6 @@ TEST_P(FleetViewPropertyTest, RandomOpSequenceKeepsMirrorExact) {
   config.controller.mode = GetParam() % 3 == 0 ? DeflationMode::kVmLevel
                                                : DeflationMode::kCascade;
   config.placement = static_cast<PlacementPolicy>(GetParam() % 3);
-  const int kThreadCounts[] = {1, 2, 7};
-  config.threads = kThreadCounts[GetParam() % 3];
   const int num_servers = 5;
   ClusterManager manager(num_servers, ResourceVector(16.0, 65536.0), config);
 

@@ -1,17 +1,17 @@
-// Property test for the sharded parallel sweeps (DESIGN.md §10): replaying
-// the SAME randomized event sequence with the fork-join pool at 1, 2, and 7
-// threads must produce bitwise-exact results -- every ClusterSimResult
-// field, the metrics JSON, the event-trace JSONL, the per-server accounting
-// aggregates, and the flat-folded HighPriorityEffectiveCpu sum. Sharding is
-// an implementation detail of HOW the sweeps run; it must be invisible in
-// WHAT they compute. Seeded from DEFL_FAULT_SEED so CI can run a matrix.
+// Compatibility property for ClusterConfig::threads. Runs used to shard
+// their placement scans and per-server sweeps over that many threads; the
+// field is now an unused slot that older callers still set and snapshots
+// still carry. Replaying the SAME randomized event sequence with the slot at
+// 1 and 7 must produce bitwise-exact results -- the metrics JSON, the
+// event-trace JSONL, the per-server accounting aggregates, the usage
+// samples and the HighPriorityEffectiveCpu readings. Seeded from
+// DEFL_FAULT_SEED so CI can run a matrix.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/cluster/cluster_manager.h"
@@ -20,7 +20,7 @@
 namespace defl {
 namespace {
 
-const int kThreadCounts[] = {1, 2, 7};
+const int kThreadCounts[] = {1, 7};
 
 uint64_t TestSeed() {
   const char* env = std::getenv("DEFL_FAULT_SEED");
@@ -42,13 +42,9 @@ std::unique_ptr<Vm> RandomVm(VmId id, Rng& rng) {
 
 // --- Full-simulation replay ------------------------------------------------
 
-struct SimRun {
-  ClusterSimResult result;
-  std::string metrics_json;
-  std::string trace_jsonl;
-};
-
-SimRun RunSim(int variant, int threads) {
+// Returns the run's metrics JSON and event-trace JSONL; every
+// ClusterSimResult field is derived from the same registry.
+std::string RunSim(int variant, int threads) {
   ClusterSimConfig config;
   config.num_servers = 20;
   config.server_capacity = ResourceVector(32.0, 256.0 * 1024.0, 1000.0, 10000.0);
@@ -64,76 +60,31 @@ SimRun RunSim(int variant, int threads) {
   config.predictive_holdback = variant % 4 == 1;
   config.cluster.threads = threads;
 
-  SimRun run;
   TelemetryContext telemetry;
   telemetry.trace().set_enabled(true);
   config.telemetry = &telemetry;
-  run.result = RunClusterSim(config);
-  std::ostringstream metrics;
-  telemetry.metrics().DumpJson(metrics);
-  run.metrics_json = metrics.str();
-  std::ostringstream trace;
-  telemetry.trace().DumpJsonl(trace);
-  run.trace_jsonl = trace.str();
-  return run;
-}
-
-void ExpectSimRunsBitwiseEqual(const SimRun& a, const SimRun& b, int threads) {
-  const std::string label = " (threads=1 vs " + std::to_string(threads) + ")";
-  // EXPECT_EQ on doubles is exact equality -- bitwise for these folds, no
-  // tolerance: the sharded reduction replays the sequential arithmetic.
-  EXPECT_EQ(a.result.counters.launched, b.result.counters.launched) << label;
-  EXPECT_EQ(a.result.counters.launched_low_priority,
-            b.result.counters.launched_low_priority)
-      << label;
-  EXPECT_EQ(a.result.counters.rejected, b.result.counters.rejected) << label;
-  EXPECT_EQ(a.result.counters.preempted, b.result.counters.preempted) << label;
-  EXPECT_EQ(a.result.counters.completed, b.result.counters.completed) << label;
-  EXPECT_EQ(a.result.counters.deflation_ops, b.result.counters.deflation_ops) << label;
-  EXPECT_EQ(a.result.preemption_probability, b.result.preemption_probability) << label;
-  EXPECT_EQ(a.result.rejection_rate, b.result.rejection_rate) << label;
-  EXPECT_EQ(a.result.mean_utilization, b.result.mean_utilization) << label;
-  EXPECT_EQ(a.result.mean_overcommitment, b.result.mean_overcommitment) << label;
-  EXPECT_EQ(a.result.peak_overcommitment, b.result.peak_overcommitment) << label;
-  EXPECT_EQ(a.result.server_overcommitment_samples,
-            b.result.server_overcommitment_samples)
-      << label;
-  EXPECT_EQ(a.result.usage.low_pri_vm_hours, b.result.usage.low_pri_vm_hours) << label;
-  EXPECT_EQ(a.result.usage.low_pri_nominal_cpu_hours,
-            b.result.usage.low_pri_nominal_cpu_hours)
-      << label;
-  EXPECT_EQ(a.result.usage.low_pri_effective_cpu_hours,
-            b.result.usage.low_pri_effective_cpu_hours)
-      << label;
-  EXPECT_EQ(a.result.usage.high_pri_cpu_hours, b.result.usage.high_pri_cpu_hours)
-      << label;
-  EXPECT_EQ(a.result.low_priority_allocation_quality,
-            b.result.low_priority_allocation_quality)
-      << label;
-  EXPECT_EQ(a.metrics_json, b.metrics_json) << label;
-  EXPECT_EQ(a.trace_jsonl, b.trace_jsonl) << label;
+  RunClusterSim(config);
+  std::ostringstream out;
+  telemetry.metrics().DumpJson(out);
+  out << "\n";
+  telemetry.trace().DumpJsonl(out);
+  return out.str();
 }
 
 class ShardMergeSimTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardMergeSimTest, SimulationIsBitwiseExactAcrossShardCounts) {
-  const SimRun base = RunSim(GetParam(), 1);
-  EXPECT_FALSE(base.metrics_json.empty());
-  for (const int threads : kThreadCounts) {
-    if (threads == 1) {
-      continue;
-    }
-    const SimRun sharded = RunSim(GetParam(), threads);
-    ExpectSimRunsBitwiseEqual(base, sharded, threads);
-  }
+  const std::string base = RunSim(GetParam(), kThreadCounts[0]);
+  EXPECT_FALSE(base.empty());
+  EXPECT_EQ(base, RunSim(GetParam(), kThreadCounts[1]));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ShardMergeSimTest, ::testing::Range(0, 8));
 
 // --- Direct manager-op replay ----------------------------------------------
 
-// Snapshot of everything the sharded sweeps compute, for cross-thread-count
-// comparison after an identical random op sequence.
+// Snapshot of everything the per-server sweeps compute, for comparison
+// after an identical random op sequence.
 struct ManagerSnapshot {
   std::vector<ServerAccounting> accounting;
   std::vector<ClusterManager::ServerUsageSample> usage;
@@ -155,7 +106,7 @@ ManagerSnapshot RunRandomOps(int variant, int threads) {
   VmId next_id = 1;
   for (int op = 0; op < 300; ++op) {
     const int64_t roll = rng.UniformInt(0, 99);
-    if (roll < 50) {  // launch (exercises the sharded placement probes)
+    if (roll < 50) {  // launch (exercises the placement probes)
       const VmId id = next_id++;
       if (manager.LaunchVm(RandomVm(id, rng)).ok()) {
         live.push_back(id);
@@ -176,9 +127,9 @@ ManagerSnapshot RunRandomOps(int variant, int threads) {
         manager.controller(server->id())
             ->DeflateVm(live[pick], vm->deflatable_amount() * rng.Uniform(0.0, 1.0));
       }
-    } else if (roll < 75) {  // sharded reinflation sweep
+    } else if (roll < 75) {  // reinflation sweep
       manager.ReinflateSweep(rng.Uniform(0.0, 2.0));
-    } else if (roll < 85) {  // sharded demand gather
+    } else if (roll < 85) {  // demand gather
       snap.high_pri_cpu_readings.push_back(manager.HighPriorityEffectiveCpu());
     } else if (roll < 92) {  // crash
       manager.CrashServer(rng.UniformInt(0, num_servers - 1));
@@ -190,7 +141,6 @@ ManagerSnapshot RunRandomOps(int variant, int threads) {
     std::erase_if(live, [&manager](VmId id) { return manager.FindVm(id) == nullptr; });
   }
 
-  manager.WarmAccounting();
   manager.CollectUsageSamples(&snap.usage);
   for (Server* server : manager.servers()) {
     snap.accounting.push_back(server->RecomputeAccounting());
@@ -202,45 +152,34 @@ ManagerSnapshot RunRandomOps(int variant, int threads) {
 class ShardMergeOpsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardMergeOpsTest, ManagerOpsAreBitwiseExactAcrossShardCounts) {
-  const ManagerSnapshot base = RunRandomOps(GetParam(), 1);
-  for (const int threads : kThreadCounts) {
-    if (threads == 1) {
-      continue;
-    }
-    const ManagerSnapshot sharded = RunRandomOps(GetParam(), threads);
-    const std::string label = " (threads=1 vs " + std::to_string(threads) + ")";
-    ASSERT_EQ(base.accounting.size(), sharded.accounting.size()) << label;
-    for (size_t i = 0; i < base.accounting.size(); ++i) {
-      EXPECT_TRUE(base.accounting[i] == sharded.accounting[i])
-          << "server " << i << label;
-    }
-    ASSERT_EQ(base.usage.size(), sharded.usage.size()) << label;
-    for (size_t i = 0; i < base.usage.size(); ++i) {
-      EXPECT_EQ(base.usage[i].nominal_overcommitment,
-                sharded.usage[i].nominal_overcommitment)
-          << "server " << i << label;
-      ASSERT_EQ(base.usage[i].vms.size(), sharded.usage[i].vms.size())
-          << "server " << i << label;
-      for (size_t v = 0; v < base.usage[i].vms.size(); ++v) {
-        EXPECT_EQ(base.usage[i].vms[v].low_priority,
-                  sharded.usage[i].vms[v].low_priority)
-            << "server " << i << " vm " << v << label;
-        EXPECT_EQ(base.usage[i].vms[v].nominal_cpu, sharded.usage[i].vms[v].nominal_cpu)
-            << "server " << i << " vm " << v << label;
-        EXPECT_EQ(base.usage[i].vms[v].effective_cpu,
-                  sharded.usage[i].vms[v].effective_cpu)
-            << "server " << i << " vm " << v << label;
-      }
-    }
-    EXPECT_EQ(base.high_pri_cpu_readings, sharded.high_pri_cpu_readings) << label;
-    EXPECT_EQ(base.counters.launched, sharded.counters.launched) << label;
-    EXPECT_EQ(base.counters.rejected, sharded.counters.rejected) << label;
-    EXPECT_EQ(base.counters.preempted, sharded.counters.preempted) << label;
-    EXPECT_EQ(base.counters.completed, sharded.counters.completed) << label;
-    EXPECT_EQ(base.counters.deflation_ops, sharded.counters.deflation_ops) << label;
-    EXPECT_EQ(base.counters.crash_replaced, sharded.counters.crash_replaced) << label;
-    EXPECT_EQ(base.counters.crash_preempted, sharded.counters.crash_preempted) << label;
+  const ManagerSnapshot base = RunRandomOps(GetParam(), kThreadCounts[0]);
+  const ManagerSnapshot other = RunRandomOps(GetParam(), kThreadCounts[1]);
+  ASSERT_EQ(base.accounting.size(), other.accounting.size());
+  for (size_t i = 0; i < base.accounting.size(); ++i) {
+    EXPECT_TRUE(base.accounting[i] == other.accounting[i]) << "server " << i;
   }
+  ASSERT_EQ(base.usage.size(), other.usage.size());
+  for (size_t i = 0; i < base.usage.size(); ++i) {
+    EXPECT_EQ(base.usage[i].nominal_overcommitment, other.usage[i].nominal_overcommitment)
+        << "server " << i;
+    ASSERT_EQ(base.usage[i].vms.size(), other.usage[i].vms.size()) << "server " << i;
+    for (size_t v = 0; v < base.usage[i].vms.size(); ++v) {
+      EXPECT_EQ(base.usage[i].vms[v].low_priority, other.usage[i].vms[v].low_priority)
+          << "server " << i << " vm " << v;
+      EXPECT_EQ(base.usage[i].vms[v].nominal_cpu, other.usage[i].vms[v].nominal_cpu)
+          << "server " << i << " vm " << v;
+      EXPECT_EQ(base.usage[i].vms[v].effective_cpu, other.usage[i].vms[v].effective_cpu)
+          << "server " << i << " vm " << v;
+    }
+  }
+  EXPECT_EQ(base.high_pri_cpu_readings, other.high_pri_cpu_readings);
+  EXPECT_EQ(base.counters.launched, other.counters.launched);
+  EXPECT_EQ(base.counters.rejected, other.counters.rejected);
+  EXPECT_EQ(base.counters.preempted, other.counters.preempted);
+  EXPECT_EQ(base.counters.completed, other.counters.completed);
+  EXPECT_EQ(base.counters.deflation_ops, other.counters.deflation_ops);
+  EXPECT_EQ(base.counters.crash_replaced, other.counters.crash_replaced);
+  EXPECT_EQ(base.counters.crash_preempted, other.counters.crash_preempted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ShardMergeOpsTest, ::testing::Range(0, 10));

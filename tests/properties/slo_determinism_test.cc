@@ -1,6 +1,6 @@
 // Property suite for the interactive-serving scenario (DESIGN.md §16): SLO
-// runs must be bitwise-identical at every thread count and across mid-run
-// snapshot/restore; the SLO-aware controller must not serve the tail worse
+// runs must be bitwise-identical whatever the unused ClusterConfig::threads
+// slot holds and across mid-run snapshot/restore; the SLO-aware controller must not serve the tail worse
 // than the uniform baseline it replaces; and the `slo` what-if override must
 // be deterministic, including when it enables interactive serving on a
 // snapshot that ran without it.
@@ -55,7 +55,8 @@ std::string Dump(TelemetryContext& telemetry) {
   return out.str();
 }
 
-std::string RunToBytes(ClusterSimConfig config, int threads) {
+// `threads` fills the config's unused thread-count slot.
+std::string RunToBytes(ClusterSimConfig config, int threads = 1) {
   config.cluster.threads = threads;
   TelemetryContext telemetry;
   telemetry.trace().set_enabled(true);
@@ -65,16 +66,16 @@ std::string RunToBytes(ClusterSimConfig config, int threads) {
 }
 
 TEST(SloDeterminismTest, BitwiseIdenticalAcrossThreadCounts) {
-  const std::string base = RunToBytes(InteractiveConfig(true), 1);
+  const std::string base = RunToBytes(InteractiveConfig(true));
   ASSERT_FALSE(base.empty());
   for (const int threads : {2, 7}) {
     EXPECT_EQ(base, RunToBytes(InteractiveConfig(true), threads))
-        << "SLO run differs at --threads " << threads;
+        << "SLO run differs with cluster.threads = " << threads;
   }
 }
 
 TEST(SloDeterminismTest, SurvivesMidRunSnapshotRestore) {
-  const std::string uninterrupted = RunToBytes(InteractiveConfig(true), 1);
+  const std::string uninterrupted = RunToBytes(InteractiveConfig(true));
   ClusterSimConfig config = InteractiveConfig(true);
   config.cluster.threads = 2;
   std::string bytes;
@@ -90,7 +91,6 @@ TEST(SloDeterminismTest, SurvivesMidRunSnapshotRestore) {
   TelemetryContext resumed;
   SimSession::RestoreOptions options;
   options.telemetry = &resumed;
-  options.threads = 7;
   Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
   ASSERT_TRUE(restored.ok()) << restored.error();
   const ClusterSimResult result = restored.value().Finish();
@@ -145,7 +145,6 @@ TEST(SloDeterminismTest, OverrideEnableOnPlainSnapshotIsDeterministic) {
     telemetry.trace().set_enabled(true);
     SimSession::RestoreOptions options;
     options.telemetry = &telemetry;
-    options.threads = 1;
     options.slo.active = true;
     options.slo.slo_p99_ms = 60.0;
     options.slo.fraction = fraction;

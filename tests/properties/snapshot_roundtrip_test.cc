@@ -1,10 +1,11 @@
 // Property test for the SimSession checkpoint/restore contract (DESIGN.md
 // §11): killing a run at a RANDOM boundary, restoring the snapshot, and
 // finishing must produce the same bytes -- metrics JSON, event-trace JSONL,
-// and every result counter -- as the uninterrupted run, for every thread
-// count on either side of the kill, and for every shipped fault plan. The
-// kill points are drawn from DEFL_FAULT_SEED so CI's seed matrix explores
-// different boundaries each leg.
+// and every result counter -- as the uninterrupted run, for every shipped
+// fault plan, and for snapshots that record a thread count (the unused
+// ClusterConfig::threads slot older runs set). The kill points are drawn
+// from DEFL_FAULT_SEED so CI's seed matrix explores different boundaries
+// each leg.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -60,8 +61,7 @@ std::string Export(const TelemetryContext& telemetry) {
   return os.str();
 }
 
-std::string RunUninterrupted(ClusterSimConfig config, int threads) {
-  config.cluster.threads = threads;
+std::string RunUninterrupted(ClusterSimConfig config) {
   TelemetryContext telemetry;
   config.telemetry = &telemetry;
   Result<SimSession> session = SimSession::Open(config);
@@ -70,10 +70,10 @@ std::string RunUninterrupted(ClusterSimConfig config, int threads) {
   return Export(telemetry);
 }
 
-// Runs with a kill at `kill_at_s`, restoring at `restore_threads`, and
-// returns the resumed run's full export.
+// Runs with `threads` in the config's thread-count slot and a kill at
+// `kill_at_s`, restores, and returns the resumed run's full export.
 std::string RunKilledAndRestored(ClusterSimConfig config, int threads,
-                                 int restore_threads, double kill_at_s) {
+                                 double kill_at_s) {
   config.cluster.threads = threads;
   std::string bytes;
   {
@@ -87,7 +87,6 @@ std::string RunKilledAndRestored(ClusterSimConfig config, int threads,
   TelemetryContext resumed;
   SimSession::RestoreOptions options;
   options.telemetry = &resumed;
-  options.threads = restore_threads;
   Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
   EXPECT_TRUE(restored.ok()) << restored.error();
   if (!restored.ok()) {
@@ -99,20 +98,14 @@ std::string RunKilledAndRestored(ClusterSimConfig config, int threads,
 
 TEST(SnapshotRoundtripTest, RandomKillPointsAreInvisibleAcrossThreadCounts) {
   const ClusterSimConfig config = BaseConfig();
-  const std::string reference = RunUninterrupted(config, 1);
+  const std::string reference = RunUninterrupted(config);
   ASSERT_FALSE(reference.empty());
   Rng rng(TestSeed() ^ 0x5eed5eedULL);
   for (const int threads : kThreadCounts) {
-    EXPECT_EQ(reference, RunUninterrupted(config, threads))
-        << "threads=" << threads << " changed the uninterrupted output";
     for (int trial = 0; trial < 3; ++trial) {
       const double kill_at_s = rng.Uniform(0.0, config.trace.duration_s);
-      const int restore_threads =
-          kThreadCounts[static_cast<size_t>(rng.UniformInt(0, 2))];
-      EXPECT_EQ(reference,
-                RunKilledAndRestored(config, threads, restore_threads, kill_at_s))
-          << "kill at " << kill_at_s << "s, threads " << threads << " -> "
-          << restore_threads;
+      EXPECT_EQ(reference, RunKilledAndRestored(config, threads, kill_at_s))
+          << "kill at " << kill_at_s << "s, threads " << threads;
     }
   }
 }
@@ -121,7 +114,7 @@ TEST(SnapshotRoundtripTest, EventBoundaryKillsAreInvisible) {
   // Kill after a random NUMBER OF EVENTS (not a time): snapshots taken
   // between two same-timestamp events must restore exactly too.
   const ClusterSimConfig config = BaseConfig();
-  const std::string reference = RunUninterrupted(config, 1);
+  const std::string reference = RunUninterrupted(config);
   Rng rng(TestSeed() ^ 0xb0da7eULL);
   for (int trial = 0; trial < 3; ++trial) {
     const int64_t kill_after = rng.UniformInt(1, 4000);
@@ -150,7 +143,7 @@ TEST(SnapshotRoundtripTest, DoubleKillIsInvisible) {
   // Two generations of kill/restore: snapshot, restore, run a while,
   // snapshot again, restore again, finish.
   const ClusterSimConfig config = BaseConfig();
-  const std::string reference = RunUninterrupted(config, 1);
+  const std::string reference = RunUninterrupted(config);
   std::string first;
   {
     TelemetryContext telemetry;
@@ -183,10 +176,9 @@ TEST(SnapshotRoundtripTest, DoubleKillIsInvisible) {
 TEST(SnapshotRoundtripTest, SharedBlobServesManyRestoresUnchanged) {
   // The what-if service's contract (DESIGN.md §15): N sessions forked off
   // ONE const blob -- via the zero-copy RestoreView path -- each finish to
-  // the uninterrupted output, at randomized kill points and mixed thread
-  // counts, and the blob's bytes never change.
+  // the uninterrupted output, and the blob's bytes never change.
   const ClusterSimConfig config = BaseConfig();
-  const std::string reference = RunUninterrupted(config, 1);
+  const std::string reference = RunUninterrupted(config);
   Rng rng(TestSeed() ^ 0xb10bf00dULL);
   const double kill_at_s = rng.Uniform(0.0, config.trace.duration_s);
   std::string blob;
@@ -204,8 +196,6 @@ TEST(SnapshotRoundtripTest, SharedBlobServesManyRestoresUnchanged) {
     TelemetryContext resumed;
     SimSession::RestoreOptions options;
     options.telemetry = &resumed;
-    options.threads = kThreadCounts[static_cast<size_t>(restore) %
-                                    (sizeof(kThreadCounts) / sizeof(int))];
     Result<SimSession> restored =
         SimSession::RestoreView(std::string_view(blob), options);
     ASSERT_TRUE(restored.ok()) << "restore " << restore << ": "
@@ -295,12 +285,11 @@ TEST_P(ShippedPlanRoundtripTest, KillAndRestoreMatchesUninterrupted) {
   ASSERT_TRUE(plan.ok()) << path << ": " << plan.error();
   config.fault_plan = std::move(plan.value());
 
-  const std::string reference = RunUninterrupted(config, 1);
+  const std::string reference = RunUninterrupted(config);
   Rng rng(TestSeed() ^ 0xfa0175ULL);
   for (const int threads : {1, 7}) {
     const double kill_at_s = rng.Uniform(0.0, config.trace.duration_s);
-    EXPECT_EQ(reference, RunKilledAndRestored(config, threads, 8 - threads,
-                                              kill_at_s))
+    EXPECT_EQ(reference, RunKilledAndRestored(config, threads, kill_at_s))
         << GetParam() << ": kill at " << kill_at_s << "s, threads " << threads;
   }
 }

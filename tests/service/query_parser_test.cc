@@ -151,6 +151,24 @@ TEST(QueryParserTest, SloKindGuardsItsAllowListAndRanges) {
                       {"unknown key", "p99", "run"});
 }
 
+TEST(QueryParserTest, SloTickCountIsCapped) {
+  // One line must not be able to wedge the server: hours * 3600 / period
+  // control ticks are capped at kMaxSloTicks, and the error names both keys.
+  ExpectErrorMentions(ParseQuery("slo period=0.00001 hours=1"),
+                      {"hours=1", "period=0.00001", "control ticks", "100000"});
+  ExpectErrorMentions(ParseQuery("slo period=1e-300 hours=1"),
+                      {"hours=", "period="});
+  ExpectErrorMentions(ParseQuery("slo period=nan hours=1"), {"hours=", "period="});
+  // Exactly at the cap is allowed; one tick more is not.
+  EXPECT_TRUE(ParseQuery("slo period=36 hours=1000").ok());
+  EXPECT_FALSE(ParseQuery("slo period=36 hours=1000.01").ok());
+  // Without period= the snapshot's own period applies, so hours alone is
+  // never rejected by the cap.
+  EXPECT_TRUE(ParseQuery("slo hours=100000").ok());
+  // Shipped queries stay far below it.
+  EXPECT_TRUE(ParseQuery("slo p99=80 period=300 hours=6").ok());
+}
+
 TEST(QueryParserTest, ScriptSkipsCommentsAndNumbersErrors) {
   Result<std::vector<WhatIfQuery>> script = ParseQueryScript(
       "# capacity check\n"

@@ -48,7 +48,6 @@ struct Options {
   bool pricing = false;
   std::string save_trace;
   double recovery_grace_s = 600.0;
-  int64_t threads = 1;
   double snapshot_every_h = 0.0;
   std::string snapshot_out;
   std::string resume_from;
@@ -107,18 +106,6 @@ const char* StrategyName(ReclamationStrategy strategy) {
   return strategy == ReclamationStrategy::kDeflation ? "deflation" : "preemption";
 }
 
-const char* PlacementName(PlacementPolicy policy) {
-  switch (policy) {
-    case PlacementPolicy::kBestFit:
-      return "best-fit";
-    case PlacementPolicy::kFirstFit:
-      return "first-fit";
-    case PlacementPolicy::kTwoChoices:
-      return "2-choices";
-  }
-  return "?";
-}
-
 // Translates the resolved workload spec plus the run-control flags into a
 // fresh-run config (trace generation or replay, arrival model, interactive
 // mix, fault plan, strategy/placement). Shared by the classic run path and a
@@ -163,7 +150,6 @@ Result<ClusterSimConfig> BuildFreshConfig(const Options& opt,
   config.reinflate_period_s = opt.reinflate_period_s;
   config.predictive_holdback = opt.predictive;
   config.recovery_grace_s = opt.recovery_grace_s;
-  config.cluster.threads = static_cast<int>(opt.threads);
   if (!spec.fault_plan.empty()) {
     Result<FaultPlan> plan = LoadFaultPlanFile(spec.fault_plan);
     if (!plan.ok()) {
@@ -256,7 +242,7 @@ int WriteOutputsAndReport(const Options& opt, const SimCommonOptions& common,
   std::printf("\n=== deflation_sim: %d servers x %.0fc/%.0fGB, %s, %s ===\n",
               cfg.num_servers, cfg.server_capacity[ResourceKind::kCpu],
               cfg.server_capacity[ResourceKind::kMemory] / 1024.0,
-              StrategyName(cfg.cluster.strategy), PlacementName(cfg.cluster.placement));
+              StrategyName(cfg.cluster.strategy), PlacementPolicyName(cfg.cluster.placement));
   std::printf("VMs launched        %ld (%ld transient), rejected %ld (%.1f%%)\n",
               r.counters.launched, r.counters.launched_low_priority,
               r.counters.rejected, 100.0 * r.rejection_rate);
@@ -403,10 +389,6 @@ int main(int argc, char** argv) {
   parser.AddDouble("recovery-grace-s",
                    "probation before a recovered server takes placements",
                    &opt.recovery_grace_s);
-  parser.AddInt("threads",
-                "worker threads for sharded sweeps (outputs are identical "
-                "for every value)",
-                &opt.threads);
   parser.AddDouble("snapshot-every-h",
                    "checkpoint to --snapshot-out every N simulated hours (0 = off)",
                    &opt.snapshot_every_h);
@@ -415,8 +397,7 @@ int main(int argc, char** argv) {
                    &opt.snapshot_out);
   parser.AddString("resume-from",
                    "restore the simulation from this snapshot instead of "
-                   "starting fresh (config flags come from the snapshot; "
-                   "--threads still applies)",
+                   "starting fresh (config flags come from the snapshot)",
                    &opt.resume_from);
   parser.AddDouble("stop-after-h",
                    "run N simulated hours, checkpoint to --snapshot-out, and "
@@ -577,9 +558,6 @@ int main(int argc, char** argv) {
   if (opt.keep_checkpoints < 1) {
     return Fail("--keep-checkpoints must be >= 1");
   }
-  if (opt.threads < 1) {
-    return Fail("--threads must be >= 1");
-  }
 
   TelemetryContext telemetry;
 
@@ -596,7 +574,6 @@ int main(int argc, char** argv) {
     Result<DurableSession> durable = Error{"unopened"};
     if (DurableSession::CanRecover(opt.durable_dir)) {
       dopt.telemetry = &telemetry;
-      dopt.threads = static_cast<int>(opt.threads);
       durable = DurableSession::Recover(dopt);
       if (!durable.ok()) {
         return Fail(durable.error());
@@ -629,7 +606,6 @@ int main(int argc, char** argv) {
   if (!opt.resume_from.empty()) {
     SimSession::RestoreOptions restore;
     restore.telemetry = &telemetry;
-    restore.threads = static_cast<int>(opt.threads);
     session = SimSession::Restore(opt.resume_from, restore);
     if (!session.ok()) {
       return Fail(session.error());
