@@ -245,7 +245,7 @@ BENCHMARK(BM_PolicyAblationRHeuristic)->Arg(0)->Arg(1);
 // Each reports two counters the scale-regression CI job gates on:
 //   allocs_per_event  -- heap allocations per scheduled event in steady state
 //                        (after a warm-up pass primes every pool/capacity);
-//                        must be 0 for the arena-backed event core
+//                        must be 0 for the pooled event core
 //   ns_per_event      -- wall time per event (items_per_second inverse)
 // The warm-up runs one full batch before the timed loop so the timed region
 // measures recycled slots and stable vector capacities, not first-touch

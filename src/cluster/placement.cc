@@ -16,6 +16,17 @@ const char* PlacementPolicyName(PlacementPolicy policy) {
   return "?";
 }
 
+Result<PlacementPolicy> PlacementPolicyFromName(const std::string& name) {
+  for (const PlacementPolicy policy : {PlacementPolicy::kBestFit, PlacementPolicy::kFirstFit,
+                                       PlacementPolicy::kTwoChoices}) {
+    if (name == PlacementPolicyName(policy)) {
+      return policy;
+    }
+  }
+  return Error{"unknown placement policy '" + name +
+               "' (expected best-fit, first-fit, or 2-choices)"};
+}
+
 double PlacementFitness(const ResourceVector& demand,
                         const ResourceVector& availability) {
   return ResourceVector::CosineSimilarity(demand, availability);

@@ -7,6 +7,7 @@
 #define SRC_CLUSTER_PLACEMENT_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/cluster/fleet_view.h"
@@ -19,6 +20,9 @@ namespace defl {
 enum class PlacementPolicy { kBestFit, kFirstFit, kTwoChoices };
 
 const char* PlacementPolicyName(PlacementPolicy policy);
+// Inverse of PlacementPolicyName; any other name is an error listing the
+// valid ones.
+Result<PlacementPolicy> PlacementPolicyFromName(const std::string& name);
 
 // What counts as a server's availability for a given arrival:
 //   kFreeOnly            -- untouched resources only (no reclamation),

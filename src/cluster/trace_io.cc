@@ -1,8 +1,9 @@
 #include "src/cluster/trace_io.h"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
+
+#include "src/common/text_parse.h"
 
 namespace defl {
 namespace {
@@ -10,16 +11,6 @@ namespace {
 constexpr const char* kHeader =
     "# arrival_s,lifetime_s,name,priority,cpus,memory_mb,disk_bw,net_bw,"
     "min_cpus,min_memory_mb,min_disk_bw,min_net_bw";
-
-Result<double> ParseNumber(const std::string& field, int line_no) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(field.data(), field.data() + field.size(), value);
-  if (ec != std::errc() || ptr != field.data() + field.size()) {
-    return Error{"line " + std::to_string(line_no) + ": bad number '" + field + "'"};
-  }
-  return value;
-}
 
 std::vector<std::string> SplitCsv(const std::string& line) {
   std::vector<std::string> fields;
@@ -45,12 +36,10 @@ Result<TraceEvent> ParseRecord(const std::string& line, int line_no,
   // Numeric fields: 0,1 then 4..11 (2 = name, 3 = priority).
   const int numeric_indexes[10] = {0, 1, 4, 5, 6, 7, 8, 9, 10, 11};
   for (int i = 0; i < 10; ++i) {
-    const Result<double> parsed =
-        ParseNumber(fields[static_cast<size_t>(numeric_indexes[i])], line_no);
-    if (!parsed.ok()) {
-      return Error{parsed.error()};
+    const std::string& field = fields[static_cast<size_t>(numeric_indexes[i])];
+    if (!ParseDouble(field, &numbers[i])) {
+      return Error{"line " + std::to_string(line_no) + ": bad number '" + field + "'"};
     }
-    numbers[i] = parsed.value();
   }
   event.arrival_s = numbers[0];
   event.lifetime_s = numbers[1];

@@ -1,9 +1,10 @@
 #include "src/common/flags.h"
 
 #include <algorithm>
-#include <charconv>
 #include <set>
 #include <sstream>
+
+#include "src/common/text_parse.h"
 
 namespace defl {
 namespace {
@@ -79,26 +80,16 @@ Result<bool> FlagParser::Assign(Flag& flag, const std::string& value) {
     case Kind::kString:
       *static_cast<std::string*>(flag.out) = value;
       return true;
-    case Kind::kDouble: {
-      double parsed = 0.0;
-      const auto [ptr, ec] =
-          std::from_chars(value.data(), value.data() + value.size(), parsed);
-      if (ec != std::errc() || ptr != value.data() + value.size()) {
+    case Kind::kDouble:
+      if (!ParseDouble(value, static_cast<double*>(flag.out))) {
         return Error{"--" + flag.name + ": bad number '" + value + "'"};
       }
-      *static_cast<double*>(flag.out) = parsed;
       return true;
-    }
-    case Kind::kInt: {
-      int64_t parsed = 0;
-      const auto [ptr, ec] =
-          std::from_chars(value.data(), value.data() + value.size(), parsed);
-      if (ec != std::errc() || ptr != value.data() + value.size()) {
+    case Kind::kInt:
+      if (!ParseInt64(value, static_cast<int64_t*>(flag.out))) {
         return Error{"--" + flag.name + ": bad integer '" + value + "'"};
       }
-      *static_cast<int64_t*>(flag.out) = parsed;
       return true;
-    }
     case Kind::kBool:
       if (value == "true" || value == "1") {
         *static_cast<bool*>(flag.out) = true;

@@ -2,6 +2,8 @@
 // dependencies): --name=value / --name value / --bool-flag, typed
 // registration, generated usage text, and strict errors on unknown flags
 // (with a nearest-name suggestion), duplicated flags, or bad values.
+// Numeric values go through text_parse.h, so `--duration-h=inf` is a bad
+// number, not a run that never ends.
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_
 

@@ -1,43 +1,11 @@
 #include "src/common/sim_options.h"
 
-#include <charconv>
-#include <sstream>
 #include <utility>
+
+#include "src/common/text_parse.h"
 
 namespace defl {
 namespace {
-
-std::string Trim(const std::string& s) {
-  size_t begin = 0;
-  size_t end = s.size();
-  while (begin < end && (s[begin] == ' ' || s[begin] == '\t')) {
-    ++begin;
-  }
-  while (end > begin && (s[end - 1] == ' ' || s[end - 1] == '\t')) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
-}
-
-Result<double> ParseSpecF64(const std::string& key, const std::string& value) {
-  double parsed = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    return Error{"'" + key + "': bad number '" + value + "'"};
-  }
-  return parsed;
-}
-
-Result<uint64_t> ParseSpecU64(const std::string& key, const std::string& value) {
-  uint64_t parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    return Error{"'" + key + "': bad unsigned integer '" + value + "'"};
-  }
-  return parsed;
-}
 
 Result<bool> ParseSpecBool(const std::string& key, const std::string& value) {
   if (value == "on" || value == "true") {
@@ -75,11 +43,9 @@ Result<bool> AssignWorkloadKey(WorkloadSpec& spec, const std::string& key,
   };
   for (const auto& entry : f64_keys) {
     if (key == entry.name) {
-      const Result<double> parsed = ParseSpecF64(key, value);
-      if (!parsed.ok()) {
-        return Error{parsed.error()};
+      if (!ParseDouble(value, entry.out)) {
+        return Error{"'" + key + "': bad number '" + value + "'"};
       }
-      *entry.out = parsed.value();
       return true;
     }
   }
@@ -93,11 +59,9 @@ Result<bool> AssignWorkloadKey(WorkloadSpec& spec, const std::string& key,
   };
   for (const auto& entry : u64_keys) {
     if (key == entry.name) {
-      const Result<uint64_t> parsed = ParseSpecU64(key, value);
-      if (!parsed.ok()) {
-        return Error{parsed.error()};
+      if (!ParseUint64(value, entry.out)) {
+        return Error{"'" + key + "': bad unsigned integer '" + value + "'"};
       }
-      *entry.out = parsed.value();
       return true;
     }
   }
@@ -176,51 +140,21 @@ Result<bool> RejectFlagCombination(const std::string& flag_a, bool a_set,
 
 Result<WorkloadSpec> ParseWorkloadSpec(const std::string& text,
                                        const std::string& source_name) {
-  WorkloadSpec spec;
-  std::istringstream in(text);
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    if (!raw.empty() && raw.back() == '\r') {
-      raw.pop_back();
-    }
-    const size_t hash = raw.find('#');
-    if (hash != std::string::npos) {
-      raw.resize(hash);
-    }
-    const std::string line = Trim(raw);
-    if (line.empty()) {
-      continue;
-    }
-    const auto fail = [&](const std::string& message) -> Result<WorkloadSpec> {
-      return Error{source_name + ":" + std::to_string(line_no) + ": " + message};
-    };
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return fail("expected 'key = value', got '" + line + "'");
-    }
-    const std::string key = Trim(line.substr(0, eq));
-    const std::string value = Trim(line.substr(eq + 1));
-    if (key.empty()) {
-      return fail("setting has no key before '='");
-    }
-    if (value.empty()) {
-      return fail("'" + key + "' has no value");
-    }
-    const auto seen = spec.provenance.find(key);
-    if (seen != spec.provenance.end()) {
-      return fail("duplicate key '" + key + "' (first set on line " +
-                  std::to_string(seen->second) + ")");
-    }
-    const Result<bool> assigned = AssignWorkloadKey(spec, key, value);
-    if (!assigned.ok()) {
-      return fail(assigned.error());
-    }
-    spec.provenance.emplace(key, line_no);
+  const Result<std::vector<KeyValue>> settings = ReadKeyValues(text, source_name);
+  if (!settings.ok()) {
+    return Error{settings.error()};
   }
-  if (spec.provenance.empty()) {
+  if (settings.value().empty()) {
     return Error{source_name + ": workload spec has no settings"};
+  }
+  WorkloadSpec spec;
+  for (const KeyValue& setting : settings.value()) {
+    const Result<bool> assigned = AssignWorkloadKey(spec, setting.key, setting.value);
+    if (!assigned.ok()) {
+      return Error{source_name + ":" + std::to_string(setting.line) + ": " +
+                   assigned.error()};
+    }
+    spec.provenance.emplace(setting.key, setting.line);
   }
   return spec;
 }

@@ -61,7 +61,8 @@ Result<bool> RejectFlagCombination(const std::string& flag_a, bool a_set,
 // messages. The old flags survive as deprecated aliases that build the same
 // spec (provenance line 0), so their errors keep the `--flag` wording.
 //
-// Grammar (one setting per line, same shape as sweep grids):
+// Grammar (one setting per line, read by ReadKeyValues in text_parse.h, the
+// same reader sweep grids use):
 //   # interactive-serving scenario
 //   load = 1.8
 //   duration-h = 24
@@ -71,9 +72,10 @@ Result<bool> RejectFlagCombination(const std::string& flag_a, bool a_set,
 //   slo-p99-ms = 80
 //   slo-policy = slo
 //
-// `key = value`, `#` comments, blank lines ignored; unknown keys, duplicate
-// keys, and malformed values are line-numbered errors. Booleans accept
-// on/off/true/false. The struct is deliberately cluster-agnostic (plain
+// `key = value`, `#` comments anywhere on a line, blank lines ignored;
+// unknown keys, duplicate keys, and malformed values are line-numbered
+// errors. Numbers are finite (`inf` and `nan` are malformed). Booleans
+// accept on/off/true/false. The struct is deliberately cluster-agnostic (plain
 // scalars, hours not seconds where the flags used hours): the tool layer
 // maps it onto ClusterSimConfig.
 struct WorkloadSpec {

@@ -1,9 +1,11 @@
 #include "src/core/protocol.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+
+#include "src/common/text_parse.h"
 
 namespace defl {
 namespace {
@@ -44,17 +46,9 @@ Result<double> ParseField(const std::string& token, const char* key) {
   if (eq == std::string::npos || token.substr(0, eq) != key) {
     return Error{"expected field '" + std::string(key) + "', got '" + token + "'"};
   }
-  const std::string value = token.substr(eq + 1);
   double parsed = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
+  if (!ParseDouble(std::string_view(token).substr(eq + 1), &parsed)) {
     return Error{"bad numeric value in '" + token + "'"};
-  }
-  // from_chars accepts "inf"/"nan" spellings; a non-finite amount would
-  // poison every downstream resource computation.
-  if (!std::isfinite(parsed)) {
-    return Error{"non-finite value in '" + token + "'"};
   }
   return parsed;
 }

@@ -1,37 +1,28 @@
 #include "src/faults/fault_plan.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+
+#include "src/common/text_parse.h"
 
 namespace defl {
 namespace {
 
 constexpr const char* kHeaderTag = "faultplan/1";
 
-Result<double> ParseNumber(const std::string& value, const std::string& context) {
+// Integers are written as numbers and must be integral; ids and counts stay
+// within the range a double holds exactly.
+Result<int64_t> ParseInteger(const std::string& value, const std::string& context) {
   double parsed = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size() ||
-      !std::isfinite(parsed)) {
+  if (!ParseDouble(value, &parsed)) {
     return Error{"bad numeric value in '" + context + "'"};
   }
-  return parsed;
-}
-
-Result<int64_t> ParseInteger(const std::string& value, const std::string& context) {
-  const Result<double> parsed = ParseNumber(value, context);
-  if (!parsed.ok()) {
-    return Error{parsed.error()};
-  }
-  if (parsed.value() != std::floor(parsed.value()) ||
-      std::abs(parsed.value()) > 9.0e15) {
+  if (parsed != std::floor(parsed) || std::abs(parsed) > 9.0e15) {
     return Error{"expected an integer in '" + context + "'"};
   }
-  return static_cast<int64_t>(parsed.value());
+  return static_cast<int64_t>(parsed);
 }
 
 // Splits "key=value"; returns false on malformed tokens.
@@ -180,21 +171,21 @@ Result<FaultPlan> ParseFaultPlan(const std::string& text) {
             parsed.value();
       } else if (key == "p" || key == "magnitude" || key == "start" ||
                  key == "end" || key == "at") {
-        const Result<double> parsed = ParseNumber(value, token);
-        if (!parsed.ok()) {
-          return Error{where + ": " + parsed.error()};
+        double parsed = 0.0;
+        if (!ParseDouble(value, &parsed)) {
+          return Error{where + ": bad numeric value in '" + token + "'"};
         }
         if (key == "p") {
-          rule.probability = parsed.value();
+          rule.probability = parsed;
         } else if (key == "magnitude") {
-          rule.magnitude = parsed.value();
+          rule.magnitude = parsed;
         } else if (key == "start") {
-          rule.start_s = parsed.value();
+          rule.start_s = parsed;
         } else if (key == "end") {
-          rule.end_s = parsed.value();
+          rule.end_s = parsed;
         } else {  // at
-          rule.start_s = parsed.value();
-          rule.end_s = parsed.value();
+          rule.start_s = parsed;
+          rule.end_s = parsed;
         }
       } else {
         return Error{where + ": unknown key '" + key + "'"};

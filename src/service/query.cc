@@ -1,56 +1,14 @@
 #include "src/service/query.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/common/text_parse.h"
+
 namespace defl {
 
 namespace {
-
-bool ParseF64(const std::string& text, double* out) {
-  if (text.empty()) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseI64(const std::string& text, int64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-') {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 std::vector<std::string> Tokenize(const std::string& line) {
   std::vector<std::string> tokens;
@@ -158,7 +116,7 @@ Result<WhatIfQuery> ParseQuery(const std::string& line) {
     if (it == fields.end()) {
       return true;
     }
-    if (!ParseF64(it->second, out)) {
+    if (!ParseDouble(it->second, out)) {
       return Error{"cannot parse " + std::string(key) + "='" + it->second +
                    "' in " + kind + " query as a number"};
     }
@@ -169,7 +127,7 @@ Result<WhatIfQuery> ParseQuery(const std::string& line) {
     if (it == fields.end()) {
       return true;
     }
-    if (!ParseI64(it->second, out)) {
+    if (!ParseInt64(it->second, out)) {
       return Error{"cannot parse " + std::string(key) + "='" + it->second +
                    "' in " + kind + " query as an integer"};
     }
@@ -194,7 +152,7 @@ Result<WhatIfQuery> ParseQuery(const std::string& line) {
     }
   }
   if (has("seed")) {
-    if (!ParseU64(fields.at("seed"), &query.seed)) {
+    if (!ParseUint64(fields.at("seed"), &query.seed)) {
       return Error{"cannot parse seed='" + fields.at("seed") + "' in " + kind +
                    " query as an unsigned integer"};
     }

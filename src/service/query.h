@@ -11,7 +11,8 @@
 // the service's immutable base snapshot, so answers never interfere. The
 // parser is strict and total: unknown kinds or keys, duplicate keys,
 // malformed numbers, out-of-range values, and empty scripts all fail with a
-// descriptive (line-numbered, for scripts) error -- never a crash.
+// descriptive (line-numbered, for scripts) error -- never a crash. Numbers
+// are read by text_parse.h, so `nan`, `inf`, `1e999` and `+1` are malformed.
 #ifndef SRC_SERVICE_QUERY_H_
 #define SRC_SERVICE_QUERY_H_
 

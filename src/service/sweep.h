@@ -6,8 +6,10 @@
 // merge is by flat cell index, never completion order, which is why sweep
 // output is byte-identical for every worker count.
 //
-// Grid file format -- `key = value` lines, `#` comments; list-valued keys
-// are the sweep axes (comma-separated), the rest are scalars:
+// Grid file format -- `key = value` lines read by ReadKeyValues
+// (src/common/text_parse.h), the reader workload specs use, so `#` starts a
+// comment anywhere on a line. List-valued keys are the sweep axes
+// (comma-separated), the rest are scalars:
 //
 //   policy = best-fit, 2-choices        # axis: future placement policy
 //   fail-fraction = 0.0, 0.25           # axis: servers crashed up front
@@ -51,9 +53,10 @@ struct SweepGrid {
   }
 };
 
-// Strict parser: unknown keys, duplicate keys, malformed numbers or policy
-// names, out-of-range values, and empty axes fail with a line-numbered
-// error; a grid with no axis values is an error.
+// Strict parser: unknown keys, duplicate keys, empty values, malformed or
+// non-finite numbers, unknown policy names and out-of-range values fail
+// with a "sweep grid:<line>:" error. An axis the grid does not name sweeps
+// its one default value.
 Result<SweepGrid> ParseSweepGrid(const std::string& text);
 
 class SweepOrchestrator {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -20,12 +19,6 @@ namespace {
 // manager's VmId index.
 constexpr VmId kWhatIfVmIdBase = 1'000'000'000'000LL;
 
-std::string Hex16(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 VmSpec WhatIfSpec(const WhatIfQuery& query) {
   VmSpec spec;
   spec.name = "whatif";
@@ -36,15 +29,50 @@ VmSpec WhatIfSpec(const WhatIfQuery& query) {
   return spec;
 }
 
-struct DeflationStats {
-  double p99 = 0.0;
-  double mean = 0.0;
-  int64_t low_vms = 0;
-};
+}  // namespace
 
-// Per-low-priority-VM CPU deflation (1 - effective/nominal), folded in
-// canonical (server, hosting) order, then sorted -- a fully deterministic
-// distribution.
+CrashOutcome CrashHealthyFraction(ClusterManager& manager, double fraction,
+                                  uint64_t seed) {
+  std::vector<ServerId> healthy;
+  const std::vector<ServerHealth>& states = manager.health_states();
+  std::vector<Server*> servers = manager.servers();
+  for (size_t i = 0; i < states.size(); ++i) {
+    if (states[i] == ServerHealth::kHealthy) {
+      healthy.push_back(servers[i]->id());
+    }
+  }
+  const int64_t n = static_cast<int64_t>(healthy.size());
+  int64_t k = static_cast<int64_t>(std::floor(fraction * static_cast<double>(n) + 0.5));
+  if (k > n) {
+    k = n;
+  }
+  Rng rng(seed);
+  for (int64_t i = 0; i < k; ++i) {
+    const int64_t j = rng.UniformInt(i, n - 1);
+    std::swap(healthy[static_cast<size_t>(i)], healthy[static_cast<size_t>(j)]);
+  }
+  std::vector<ServerId> victims(healthy.begin(), healthy.begin() + k);
+  std::sort(victims.begin(), victims.end());
+  for (ServerId id : victims) {
+    manager.CrashServer(id);
+  }
+  return CrashOutcome{n, k};
+}
+
+AdmitOutcome AdmitUntilOvercommit(ClusterManager& manager, const VmSpec& spec,
+                                  VmId id_base, double target, int64_t limit) {
+  AdmitOutcome outcome;
+  for (int64_t attempts = 0;
+       attempts < limit && manager.Overcommitment() < target; ++attempts) {
+    if (!manager.LaunchVm(std::make_unique<Vm>(id_base + attempts, spec)).ok()) {
+      outcome.rejected = true;
+      break;
+    }
+    ++outcome.admitted;
+  }
+  return outcome;
+}
+
 DeflationStats CollectDeflation(ClusterManager& manager) {
   std::vector<ClusterManager::ServerUsageSample> samples;
   manager.CollectUsageSamples(&samples);
@@ -74,8 +102,6 @@ DeflationStats CollectDeflation(ClusterManager& manager) {
   stats.mean = sum / static_cast<double>(deflation.size());
   return stats;
 }
-
-}  // namespace
 
 Result<WhatIfService> WhatIfService::Load(std::string blob) {
   std::shared_ptr<const std::string> shared =
@@ -156,39 +182,12 @@ Result<std::string> WhatIfService::Answer(const WhatIfQuery& query) const {
       break;
     }
     case QueryKind::kFail: {
-      // Victim draw: a private Rng seeded from the query (not the session's
-      // snapshotted stream), so the same query always crashes the same
-      // servers. Partial Fisher-Yates over the ascending healthy ids, then
-      // the chosen k are crashed in ascending id order -- one canonical
-      // crash sequence per (blob, query).
-      std::vector<ServerId> healthy;
-      const std::vector<ServerHealth>& states = manager.health_states();
-      std::vector<Server*> servers = manager.servers();
-      for (size_t i = 0; i < states.size(); ++i) {
-        if (states[i] == ServerHealth::kHealthy) {
-          healthy.push_back(servers[i]->id());
-        }
-      }
-      const int64_t n = static_cast<int64_t>(healthy.size());
-      int64_t k = static_cast<int64_t>(
-          std::floor(query.fraction * static_cast<double>(n) + 0.5));
-      if (k > n) {
-        k = n;
-      }
-      Rng rng(query.seed);
-      for (int64_t i = 0; i < k; ++i) {
-        const int64_t j = rng.UniformInt(i, n - 1);
-        std::swap(healthy[static_cast<size_t>(i)], healthy[static_cast<size_t>(j)]);
-      }
-      std::vector<ServerId> victims(healthy.begin(), healthy.begin() + k);
-      std::sort(victims.begin(), victims.end());
-      for (ServerId id : victims) {
-        manager.CrashServer(id);
-      }
+      const CrashOutcome crash =
+          CrashHealthyFraction(manager, query.fraction, query.seed);
       const ClusterCounters after = manager.counters();
       out += ",\"fraction\":" + JsonNumber(query.fraction);
-      out += ",\"healthy\":" + std::to_string(n);
-      out += ",\"failed\":" + std::to_string(k);
+      out += ",\"healthy\":" + std::to_string(crash.healthy);
+      out += ",\"failed\":" + std::to_string(crash.failed);
       out += ",\"crash_replaced\":" +
              std::to_string(after.crash_replaced - before.crash_replaced);
       out += ",\"crash_preempted\":" +
@@ -198,27 +197,14 @@ Result<std::string> WhatIfService::Answer(const WhatIfQuery& query) const {
       break;
     }
     case QueryKind::kOvercommit: {
-      const VmSpec spec = WhatIfSpec(query);
-      int64_t admitted = 0;
-      int64_t attempts = 0;
-      bool rejected = false;
-      while (attempts < query.limit && manager.Overcommitment() < query.target) {
-        std::unique_ptr<Vm> vm =
-            std::make_unique<Vm>(kWhatIfVmIdBase + attempts, spec);
-        ++attempts;
-        if (manager.LaunchVm(std::move(vm)).ok()) {
-          ++admitted;
-        } else {
-          rejected = true;
-          break;
-        }
-      }
+      const AdmitOutcome admit = AdmitUntilOvercommit(
+          manager, WhatIfSpec(query), kWhatIfVmIdBase, query.target, query.limit);
       const ClusterCounters after = manager.counters();
       out += ",\"target\":" + JsonNumber(query.target);
-      out += ",\"admitted\":" + std::to_string(admitted);
+      out += ",\"admitted\":" + std::to_string(admit.admitted);
       out += std::string(",\"reached\":") +
              (manager.Overcommitment() >= query.target ? "true" : "false");
-      out += std::string(",\"rejected\":") + (rejected ? "true" : "false");
+      out += std::string(",\"rejected\":") + (admit.rejected ? "true" : "false");
       out += ",\"deflation_ops\":" +
              std::to_string(after.deflation_ops - before.deflation_ops);
       out += ",\"preempted\":" +

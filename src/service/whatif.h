@@ -25,6 +25,42 @@
 
 namespace defl {
 
+// The fleet edits what-if queries and sweep cells share. Each caller passes
+// its own seed and VM-id base; everything else is a function of the child
+// session's state.
+
+// Crashes floor(fraction * healthy + 0.5) of the healthy servers, fraction
+// in [0, 1]. Victims come from a private Rng(seed), not the session's
+// snapshotted stream -- a partial Fisher-Yates over the ascending healthy
+// ids -- and crash in ascending id order: one canonical crash sequence per
+// (state, fraction, seed).
+struct CrashOutcome {
+  int64_t healthy = 0;  // healthy servers before the crash
+  int64_t failed = 0;
+};
+CrashOutcome CrashHealthyFraction(ClusterManager& manager, double fraction,
+                                  uint64_t seed);
+
+// Launches VMs of `spec` with ids id_base, id_base + 1, ... until the
+// cluster's Overcommitment() reaches `target`, `limit` launches were
+// attempted, or a launch is rejected.
+struct AdmitOutcome {
+  int64_t admitted = 0;
+  bool rejected = false;
+};
+AdmitOutcome AdmitUntilOvercommit(ClusterManager& manager, const VmSpec& spec,
+                                  VmId id_base, double target, int64_t limit);
+
+// CPU deflation (1 - effective/nominal) of every hosted low-priority VM,
+// folded in canonical (server, hosting) order: the p99 and mean of one
+// deterministic distribution.
+struct DeflationStats {
+  double p99 = 0.0;
+  double mean = 0.0;
+  int64_t low_vms = 0;
+};
+DeflationStats CollectDeflation(ClusterManager& manager);
+
 class WhatIfService {
  public:
   // Takes ownership of the snapshot blob and validates it with one probe

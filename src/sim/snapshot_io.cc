@@ -19,6 +19,12 @@ uint64_t SnapshotFnv1a64(const char* data, size_t size) {
   return hash;
 }
 
+std::string Hex16(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 namespace {
 
 void AppendU64Le(std::string& out, uint64_t v) {
@@ -141,11 +147,8 @@ Result<SnapshotReader> SnapshotReader::OpenView(std::string_view bytes) {
   const uint64_t expected = LoadU64Le(bytes.data() + body);
   const uint64_t actual = SnapshotFnv1a64(bytes.data(), body);
   if (expected != actual) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "footer %016llx != content %016llx",
-                  static_cast<unsigned long long>(expected),
-                  static_cast<unsigned long long>(actual));
-    return Error{std::string("snapshot integrity check failed (") + buf +
+    return Error{"snapshot integrity check failed (footer " + Hex16(expected) +
+                 " != content " + Hex16(actual) +
                  "); the file is corrupted or truncated"};
   }
   return SnapshotReader(std::string(), bytes, kHeader, body);

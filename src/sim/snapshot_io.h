@@ -25,6 +25,9 @@ namespace defl {
 // FNV-1a 64-bit over a byte range (the same digest the golden suite pins
 // tool output with; here it is the snapshot integrity footer).
 uint64_t SnapshotFnv1a64(const char* data, size_t size);
+// A 64-bit digest as 16 lowercase hex digits, the spelling every report
+// footer and integrity error uses.
+std::string Hex16(uint64_t v);
 
 inline constexpr char kSnapshotMagic[8] = {'D', 'E', 'F', 'L', 'S', 'N', 'A', 'P'};
 // Version history:

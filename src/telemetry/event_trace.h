@@ -6,12 +6,11 @@
 // the per-VM allocation timelines, deflation latency distributions and
 // deflation-tolerance analyses of the evaluation all read from it.
 //
-// Storage is epoch-arena-chunked (DESIGN.md §14): records append into
-// fixed-size chunks bump-allocated from an EpochArena, so a multi-million-
-// record cloud run never pays vector-doubling copies, and Clear() recycles
-// every chunk in O(chunks) -- a record..Clear cycle is allocation-free in
-// steady state. Records are addressed through TraceEventView (indexable,
-// iterable); they are not one contiguous array.
+// Storage is chunked (DESIGN.md §14): records append into fixed-size chunks
+// the trace owns, so a multi-million-record cloud run never pays
+// vector-doubling copies, and Clear() frees the chunks. Records are
+// addressed through TraceEventView (indexable, iterable); they are not one
+// contiguous array.
 //
 // Event kinds and the meaning of the vector/outcome fields are documented in
 // DESIGN.md ("Telemetry & tracing").
@@ -21,10 +20,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <vector>
 
-#include "src/common/epoch_arena.h"
 #include "src/resources/resource_vector.h"
 
 namespace defl {
@@ -83,9 +82,9 @@ struct TraceEventRecord {
 class TraceEventView {
  public:
   static constexpr size_t kChunkRecords = 512;
+  using Chunks = std::vector<std::unique_ptr<TraceEventRecord[]>>;
 
-  TraceEventView(const std::vector<TraceEventRecord*>* chunks, size_t size)
-      : chunks_(chunks), size_(size) {}
+  TraceEventView(const Chunks* chunks, size_t size) : chunks_(chunks), size_(size) {}
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -96,8 +95,7 @@ class TraceEventView {
 
   class Iterator {
    public:
-    Iterator(const std::vector<TraceEventRecord*>* chunks, size_t index)
-        : chunks_(chunks), index_(index) {}
+    Iterator(const Chunks* chunks, size_t index) : chunks_(chunks), index_(index) {}
     const TraceEventRecord& operator*() const {
       return (*chunks_)[index_ / kChunkRecords][index_ % kChunkRecords];
     }
@@ -110,7 +108,7 @@ class TraceEventView {
     bool operator!=(const Iterator& other) const { return index_ != other.index_; }
 
    private:
-    const std::vector<TraceEventRecord*>* chunks_;
+    const Chunks* chunks_;
     size_t index_;
   };
 
@@ -118,13 +116,13 @@ class TraceEventView {
   Iterator end() const { return Iterator(chunks_, size_); }
 
  private:
-  const std::vector<TraceEventRecord*>* chunks_;
+  const Chunks* chunks_;
   size_t size_;
 };
 
 class EventTrace {
  public:
-  EventTrace() : arena_(TraceEventView::kChunkRecords * sizeof(TraceEventRecord)) {}
+  EventTrace() = default;
   EventTrace(const EventTrace&) = delete;
   EventTrace& operator=(const EventTrace&) = delete;
 
@@ -159,12 +157,10 @@ class EventTrace {
   TraceEventView events() const { return TraceEventView(&chunks_, size_); }
   size_t size() const { return size_; }
 
-  // Drops every record and recycles all chunk storage into the arena's block
-  // pool: a record..Clear cycle is allocation-free once warmed.
+  // Drops every record and frees the chunks.
   void Clear() {
     chunks_.clear();
     size_ = 0;
-    arena_.ResetEpoch();
   }
 
   // Replaces the recorded events wholesale: deterministic checkpoint/restore
@@ -188,21 +184,20 @@ class EventTrace {
   void DumpJsonl(std::ostream& os) const;
 
  private:
-  // Reserves the next record slot, opening a fresh arena chunk when the
-  // current one is full. Chunk addresses are stable until Clear().
+  // Reserves the next record slot, opening a fresh chunk when the current
+  // one is full. Chunk addresses are stable until Clear().
   TraceEventRecord& Append() {
     const size_t offset = size_ % TraceEventView::kChunkRecords;
     if (offset == 0) {
       chunks_.push_back(
-          arena_.NewArray<TraceEventRecord>(TraceEventView::kChunkRecords));
+          std::make_unique<TraceEventRecord[]>(TraceEventView::kChunkRecords));
     }
     return chunks_[size_++ / TraceEventView::kChunkRecords][offset];
   }
 
   bool enabled_ = true;
   std::function<double()> clock_;
-  EpochArena arena_;  // one block per chunk; Clear() recycles them all
-  std::vector<TraceEventRecord*> chunks_;
+  TraceEventView::Chunks chunks_;
   size_t size_ = 0;
 };
 

@@ -53,6 +53,10 @@ TEST(TraceIoTest, RejectsMalformedRows) {
       "10,xyz,vm,low,4,16384,100,500,1,4096,25,125\n",      // bad number
       "10,600,vm,low,4,16384,100,500,8,32768,200,1000\n",   // min > size
       "10,-5,vm,low,4,16384,100,500,1,4096,25,125\n",       // non-positive life
+      "nan,600,vm,low,4,16384,100,500,1,4096,25,125\n",     // non-finite fields
+      "10,inf,vm,low,4,16384,100,500,1,4096,25,125\n",
+      "10,600,vm,low,4,16384,100,500,-inf,4096,25,125\n",
+      "10,600,vm,low,4,1e999,100,500,1,4096,25,125\n",
   };
   for (const char* text : bad_cases) {
     EXPECT_FALSE(ParseTraceCsv(text).ok()) << text;
@@ -75,6 +79,14 @@ TEST(TraceIoTest, ErrorsNameTheLine) {
   const Result<std::vector<TraceEvent>> parsed = ParseTraceCsv(text);
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error().find("line 2"), std::string::npos);
+
+  // A nan arrival compares false against everything, so only the number
+  // parser can stop it.
+  const Result<std::vector<TraceEvent>> nan_arrival = ParseTraceCsv(
+      "10,600,vm-a,low,4,16384,100,500,1,4096,25,125\n"
+      "nan,600,vm-b,low,4,16384,100,500,1,4096,25,125\n");
+  ASSERT_FALSE(nan_arrival.ok());
+  EXPECT_EQ(nan_arrival.error(), "line 2: bad number 'nan'");
 }
 
 TEST(TraceIoTest, FileRoundTrip) {

@@ -74,6 +74,14 @@ TEST(FlagsTest, Errors) {
   EXPECT_FALSE(ParseArgs(parser, {"--count=1.5"}).ok());
   EXPECT_FALSE(ParseArgs(parser, {"--verbose=maybe"}).ok());
   EXPECT_FALSE(ParseArgs(parser, {"--name"}).ok());  // missing value
+  // A double flag takes finite values only; the error names the flag.
+  for (const char* value : {"nan", "inf", "-inf", "1e999"}) {
+    const std::string arg = std::string("--ratio=") + value;
+    const auto result = ParseArgs(parser, {arg.c_str()});
+    ASSERT_FALSE(result.ok()) << arg;
+    EXPECT_EQ(result.error(), std::string("--ratio: bad number '") + value + "'");
+  }
+  EXPECT_DOUBLE_EQ(f.ratio, 1.5);
 }
 
 TEST(FlagsTest, DuplicateFlagRejected) {

@@ -112,6 +112,10 @@ TEST(WorkloadSpecTest, ParserRejectionsCarryLineNumbers) {
       {"load = 1.8\n= 2\n", "spec:2: setting has no key before '='"},
       {"load =\n", "spec:1: 'load' has no value"},
       {"load = fast\n", "spec:1: 'load': bad number 'fast'"},
+      {"duration-h = inf\n", "spec:1: 'duration-h': bad number 'inf'"},
+      {"load = nan\n", "spec:1: 'load': bad number 'nan'"},
+      {"diurnal-phase-h = -inf\n", "spec:1: 'diurnal-phase-h': bad number '-inf'"},
+      {"load = 1e999\n", "spec:1: 'load': bad number '1e999'"},
       {"diurnal = maybe\n", "spec:1: 'diurnal': bad boolean 'maybe'"},
       {"seed = -3\n", "spec:1: 'seed': bad unsigned integer '-3'"},
       {"capacity = 5\n", "spec:1: unknown key 'capacity'"},

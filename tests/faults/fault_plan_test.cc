@@ -55,6 +55,10 @@ TEST(FaultPlanParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseFaultPlan(header + "rule kind=wire-drop frequency=2\n").ok());
   EXPECT_FALSE(ParseFaultPlan(header + "rule kind=wire-drop p=1.5\n").ok());
   EXPECT_FALSE(ParseFaultPlan(header + "rule kind=wire-drop p=nan\n").ok());
+  EXPECT_FALSE(ParseFaultPlan(header + "rule kind=wire-drop start=0 end=inf\n").ok());
+  EXPECT_FALSE(ParseFaultPlan(header + "rule kind=agent-slow magnitude=-inf\n").ok());
+  EXPECT_FALSE(ParseFaultPlan(header + "rule kind=server-crash at=1e999\n").ok());
+  EXPECT_FALSE(ParseFaultPlan("faultplan/1 seed=inf\n").ok());
   EXPECT_FALSE(ParseFaultPlan(header + "rule kind=agent-slow magnitude=-1\n").ok());
   EXPECT_FALSE(ParseFaultPlan(header + "rule kind=wire-drop start=5 end=1\n").ok());
   EXPECT_FALSE(ParseFaultPlan(header + "rule kind=wire-drop vm=1.5\n").ok());

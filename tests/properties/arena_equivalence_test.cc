@@ -1,12 +1,12 @@
-// Property test for the allocation-free core (DESIGN.md §14): the epoch
-// arenas, pooled event slots, and retire-reclaim scratch buffers are pure
-// performance machinery -- they must be invisible in every observable byte.
+// Property test for the allocation-free core (DESIGN.md §14): the pooled
+// event slots and retire-reclaim scratch buffers are pure performance
+// machinery -- they must be invisible in every observable byte.
 // Randomized cluster configurations (server count, load, strategy, policy,
 // tick periods drawn from DEFL_FAULT_SEED) are run to completion and must
 // export byte-identical telemetry whatever the unused ClusterConfig::threads
 // slot holds ({1, 2, 7}), across a mid-run snapshot/restore, and across a
 // durable-recovery boundary. The
-// snapshot bytes themselves must not depend on warm arena/pool state: a
+// snapshot bytes themselves must not depend on warm pool state: a
 // fresh run and a restored run snapshotted at the same instant (with very
 // different recycled-memory footprints) must serialize identically.
 #include <gtest/gtest.h>
@@ -131,9 +131,9 @@ TEST(ArenaEquivalenceTest, MidRunRestoreIsInvisibleUnderRandomConfigs) {
 TEST(ArenaEquivalenceTest, SnapshotBytesNeverDependOnWarmArenaState) {
   // A fresh session and a restored one hold very different recycled-memory
   // state at the same simulated instant: the restored session's event-slot
-  // pool, trace-chunk arena, and sweep scratch were warmed by a different
-  // history. Their snapshots at a common later time must still be
-  // byte-equal -- nothing arena-shaped may leak into the format.
+  // pool and sweep scratch were warmed by a different history. Their
+  // snapshots at a common later time must still be byte-equal -- nothing
+  // pool-shaped may leak into the format.
   Rng rng(TestSeed() ^ 0xa110cULL);
   for (int trial = 0; trial < 2; ++trial) {
     const ClusterSimConfig config = RandomConfig(rng);
@@ -177,7 +177,7 @@ TEST(ArenaEquivalenceTest, SnapshotBytesNeverDependOnWarmArenaState) {
 
 TEST(ArenaEquivalenceTest, DurableRecoveryBoundaryIsInvisible) {
   // Clean handoff across the durability layer: step a durable run partway,
-  // drop the process's in-memory state (with its warmed arenas and pools),
+  // drop the process's in-memory state (with its warmed pools),
   // recover from the directory, and finish. The export must match the
   // uninterrupted run bit for bit.
   const std::string dir = testing::TempDir() + "/arena_equivalence_" +
@@ -200,7 +200,7 @@ TEST(ArenaEquivalenceTest, DurableRecoveryBoundaryIsInvisible) {
     const Result<bool> stepped =
         durable.value().StepUntil(0.5 * config.trace.duration_s);
     ASSERT_TRUE(stepped.ok()) << stepped.error();
-  }  // in-memory state (arenas, slot pools, scratch) dies here
+  }  // in-memory state (slot pools, scratch) dies here
   TelemetryContext recovered_telemetry;
   DurableSession::Options options;
   options.dir = dir;

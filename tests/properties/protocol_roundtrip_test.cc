@@ -112,6 +112,12 @@ TEST(ProtocolAdversarialTest, RejectsNonFiniteAndNonIntegralValues) {
       DecodeMessage("defl/1 deflate-req vm=1 seq=2 cpu=inf mem=0 disk=0 net=0").ok());
   EXPECT_FALSE(
       DecodeMessage("defl/1 deflate-req vm=1 seq=2 cpu=nan mem=0 disk=0 net=0").ok());
+  EXPECT_FALSE(
+      DecodeMessage("defl/1 deflate-req vm=1 seq=2 cpu=0 mem=-inf disk=0 net=0").ok());
+  EXPECT_FALSE(
+      DecodeMessage("defl/1 deflate-req vm=1 seq=2 cpu=0 mem=0 disk=1e999 net=0").ok());
+  EXPECT_FALSE(
+      DecodeMessage("defl/1 deflate-req vm=inf seq=2 cpu=0 mem=0 disk=0 net=0").ok());
   // Ids must be integral and within int64-exact double range.
   EXPECT_FALSE(
       DecodeMessage("defl/1 deflate-req vm=1.5 seq=2 cpu=0 mem=0 disk=0 net=0").ok());

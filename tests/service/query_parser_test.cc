@@ -106,6 +106,17 @@ TEST(QueryParserTest, RejectsUnparsableNumbers) {
                       {"cannot parse", "count", "ten"});
   ExpectErrorMentions(ParseQuery("fail fraction=0.1 seed=-3"),
                       {"cannot parse", "seed", "-3"});
+  // Numbers are finite and carry no `+` sign: nan, inf, overflowing literals
+  // and +5 never reach the range checks.
+  ExpectErrorMentions(ParseQuery("fail fraction=nan seed=3"),
+                      {"cannot parse", "fraction", "nan"});
+  ExpectErrorMentions(ParseQuery("slo hours=inf"), {"cannot parse", "hours", "inf"});
+  ExpectErrorMentions(ParseQuery("run hours=-inf"),
+                      {"cannot parse", "hours", "-inf"});
+  ExpectErrorMentions(ParseQuery("place count=5 cpu=1e999"),
+                      {"cannot parse", "cpu", "1e999"});
+  ExpectErrorMentions(ParseQuery("place count=+5 cpu=2"),
+                      {"cannot parse", "count", "+5"});
 }
 
 TEST(QueryParserTest, RejectsMissingRequiredKeys) {
@@ -158,7 +169,8 @@ TEST(QueryParserTest, SloTickCountIsCapped) {
                       {"hours=1", "period=0.00001", "control ticks", "100000"});
   ExpectErrorMentions(ParseQuery("slo period=1e-300 hours=1"),
                       {"hours=", "period="});
-  ExpectErrorMentions(ParseQuery("slo period=nan hours=1"), {"hours=", "period="});
+  ExpectErrorMentions(ParseQuery("slo period=nan hours=1"),
+                      {"cannot parse", "period", "nan"});
   // Exactly at the cap is allowed; one tick more is not.
   EXPECT_TRUE(ParseQuery("slo period=36 hours=1000").ok());
   EXPECT_FALSE(ParseQuery("slo period=36 hours=1000.01").ok());
@@ -217,12 +229,12 @@ TEST(SweepGridTest, ParsesAxesScalarsAndDefaults) {
 
 TEST(SweepGridTest, RejectsMalformedInput) {
   ExpectErrorMentions(ParseSweepGrid("policy best-fit\n"),
-                      {"line 1", "key = value"});
+                      {"sweep grid:1:", "key = value"});
   ExpectErrorMentions(ParseSweepGrid("policy = best-fit\nwat = 7\n"),
-                      {"line 2", "unknown key", "wat"});
+                      {"sweep grid:2:", "unknown key", "wat"});
   ExpectErrorMentions(
       ParseSweepGrid("policy = best-fit\npolicy = first-fit\n"),
-      {"line 2", "duplicate key", "policy"});
+      {"sweep grid:2:", "duplicate key", "policy"});
   ExpectErrorMentions(ParseSweepGrid("policy = worst-fit\n"),
                       {"unknown placement policy", "worst-fit"});
   ExpectErrorMentions(ParseSweepGrid("fail-fraction = 0.5, 1.5\n"),
@@ -237,7 +249,51 @@ TEST(SweepGridTest, RejectsMalformedInput) {
   ExpectErrorMentions(ParseSweepGrid("limit = 0\n"), {"limit", ">= 1"});
   ExpectErrorMentions(ParseSweepGrid("hours = nope\n"), {"hours", "nope"});
   ExpectErrorMentions(ParseSweepGrid("fail-seed = -2\n"), {"fail-seed"});
-  ExpectErrorMentions(ParseSweepGrid("policy =\n"), {"empty key or value"});
+  ExpectErrorMentions(ParseSweepGrid("hours = inf\n"), {"sweep grid:1:", "hours", "inf"});
+  ExpectErrorMentions(ParseSweepGrid("fail-fraction = 0.5, nan\n"),
+                      {"fail-fraction", "nan"});
+  ExpectErrorMentions(ParseSweepGrid("intensity = -inf\n"), {"intensity", "-inf"});
+  ExpectErrorMentions(ParseSweepGrid("overcommit-target = 1e999\n"),
+                      {"overcommit-target", "1e999"});
+  ExpectErrorMentions(ParseSweepGrid("policy =\n"),
+                      {"sweep grid:1:", "'policy' has no value"});
+}
+
+TEST(SweepGridTest, HeaderExampleWithInlineCommentsParses) {
+  // The grid documented in sweep.h, verbatim, comments and all.
+  const Result<SweepGrid> commented = ParseSweepGrid(
+      "policy = best-fit, 2-choices        # axis: future placement policy\n"
+      "fail-fraction = 0.0, 0.25           # axis: servers crashed up front\n"
+      "overcommit-target = 1.0, 1.5        # axis: admission stops at this OC\n"
+      "intensity = 0.5, 1.0                # axis: scales the admission budget\n"
+      "hours = 2                           # sim-hours each cell then runs\n"
+      "shape = 2:4096                      # admitted VM size cpu:mem[:disk[:net]]\n"
+      "fail-seed = 7                       # victim-draw seed (shared by cells)\n"
+      "limit = 1000                        # admission budget at intensity 1.0\n");
+  const Result<SweepGrid> bare = ParseSweepGrid(
+      "policy = best-fit, 2-choices\n"
+      "fail-fraction = 0.0, 0.25\n"
+      "overcommit-target = 1.0, 1.5\n"
+      "intensity = 0.5, 1.0\n"
+      "hours = 2\n"
+      "shape = 2:4096\n"
+      "fail-seed = 7\n"
+      "limit = 1000\n");
+  ASSERT_TRUE(commented.ok()) << commented.error();
+  ASSERT_TRUE(bare.ok()) << bare.error();
+  const SweepGrid& a = commented.value();
+  const SweepGrid& b = bare.value();
+  EXPECT_EQ(a.policies, (std::vector<PlacementPolicy>{PlacementPolicy::kBestFit,
+                                                      PlacementPolicy::kTwoChoices}));
+  EXPECT_EQ(a.policies, b.policies);
+  EXPECT_EQ(a.fail_fractions, b.fail_fractions);
+  EXPECT_EQ(a.overcommit_targets, b.overcommit_targets);
+  EXPECT_EQ(a.intensities, b.intensities);
+  EXPECT_EQ(a.hours, b.hours);
+  EXPECT_EQ(a.shape, b.shape);
+  EXPECT_EQ(a.fail_seed, b.fail_seed);
+  EXPECT_EQ(a.limit, b.limit);
+  EXPECT_EQ(a.Cells(), 16);
 }
 
 }  // namespace

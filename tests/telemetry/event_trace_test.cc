@@ -104,7 +104,7 @@ TEST(EventTraceTest, KindAndLayerNamesAreStable) {
 }
 
 TEST(EventTraceTest, ChunkedStorageIndexesAcrossChunkBoundaries) {
-  // Records live in arena chunks of TraceEventView::kChunkRecords; indexing
+  // Records live in chunks of TraceEventView::kChunkRecords; indexing
   // and iteration must be seamless across the boundaries.
   EventTrace trace;
   const size_t count = TraceEventView::kChunkRecords * 3 + 17;

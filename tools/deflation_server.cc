@@ -17,9 +17,7 @@
 //       --workers=8 --out=sweep.jsonl
 //   deflation_server --recover-dir=run.d            # interactive: queries on stdin
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "src/cluster/sim_session.h"
@@ -39,19 +37,6 @@ namespace {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
   return 1;
-}
-
-Result<std::string> ReadTextFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error{"cannot open " + path};
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Error{"read error on " + path};
-  }
-  return std::move(buffer).str();
 }
 
 // Batch/sweep output lands atomically in --out, or on stdout.
@@ -190,7 +175,7 @@ int main(int argc, char** argv) {
                static_cast<long long>(workers));
 
   if (!queries_path.empty()) {
-    Result<std::string> script = ReadTextFile(queries_path);
+    Result<std::string> script = ReadFileToString(queries_path);
     if (!script.ok()) {
       return Fail(script.error());
     }
@@ -202,7 +187,7 @@ int main(int argc, char** argv) {
                 out_path);
   }
   if (!sweep_path.empty()) {
-    Result<std::string> grid_text = ReadTextFile(sweep_path);
+    Result<std::string> grid_text = ReadFileToString(sweep_path);
     if (!grid_text.ok()) {
       return Fail(grid_text.error());
     }

@@ -168,15 +168,11 @@ Result<ClusterSimConfig> BuildFreshConfig(const Options& opt,
   } else {
     return Error{"unknown --strategy '" + opt.strategy + "'"};
   }
-  if (opt.placement == "best-fit") {
-    config.cluster.placement = PlacementPolicy::kBestFit;
-  } else if (opt.placement == "first-fit") {
-    config.cluster.placement = PlacementPolicy::kFirstFit;
-  } else if (opt.placement == "2-choices") {
-    config.cluster.placement = PlacementPolicy::kTwoChoices;
-  } else {
-    return Error{"unknown --placement '" + opt.placement + "'"};
+  const Result<PlacementPolicy> placement = PlacementPolicyFromName(opt.placement);
+  if (!placement.ok()) {
+    return Error{"--placement: " + placement.error()};
   }
+  config.cluster.placement = placement.value();
 
   if (!spec.trace_file.empty()) {
     Result<std::vector<TraceEvent>> loaded = LoadTraceFile(spec.trace_file);
