@@ -186,6 +186,24 @@ void BM_PlacementScanFleetView(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementScanFleetView)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// First-fit with a demand no row can hold: the rejection path of a full
+// placement scan. The block-max index rules out every 64-row block without
+// visiting its rows, so time/iteration divided by the Arg is well under a
+// row visit.
+void BM_PlacementScanNoFit(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  PlacementScanFixture fx(n);
+  Rng rng(7);
+  const ResourceVector demand(64.0, 16384.0, 50.0, 500.0);
+  for (auto _ : state) {
+    const Result<size_t> placed =
+        PlaceVmFleet(demand, fx.fleet, fx.rows, PlacementPolicy::kFirstFit, rng);
+    benchmark::DoNotOptimize(placed.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_PlacementScanNoFit)->Arg(1000)->Arg(10000)->Arg(100000);
+
 void BM_ZipfHeadFraction(benchmark::State& state) {
   const int64_t n = state.range(0);
   int64_t k = 1;

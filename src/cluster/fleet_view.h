@@ -15,6 +15,15 @@
 // NominalDemand), the mirrored values are bit-identical to the object path,
 // and every scan outcome (feasibility, fitness, tie-breaks) is too.
 //
+// Block-max index: for every block of kBlockRows consecutive rows and every
+// AvailabilityMode, the view keeps the componentwise maximum of the rows'
+// availabilities, computed with the same adds as the placement scan. A scan
+// skips a block whose maximum cannot hold the demand; no row in it could.
+// Refresh() only records which rows of a block changed, and BlockMax()
+// brings the block's maximum up to date when a scan first reads it: by
+// folding in the changed rows, or by refolding the whole block when a row
+// that held a maximum changed.
+//
 // Snapshots never serialize a FleetView: it is derived state, rebuilt from
 // the restored object graph (all rows start dirty), so the snapshot format
 // stays independent of this layout.
@@ -31,6 +40,15 @@
 
 namespace defl {
 
+// What counts as a server's availability for a given arrival:
+//   kFreeOnly            -- untouched resources only (no reclamation),
+//   kFreePlusDeflatable  -- free + what deflation can reclaim (low-priority
+//                           arrivals under deflation-based management),
+//   kFreePlusPreemptible -- free + everything low-priority VMs hold (high-
+//                           priority arrivals, which may displace them).
+enum class AvailabilityMode { kFreeOnly, kFreePlusDeflatable, kFreePlusPreemptible };
+inline constexpr int kNumAvailabilityModes = 3;
+
 // One mirrored row materialized back into vectors, for tests and checks.
 struct FleetEntry {
   ResourceVector free;
@@ -42,6 +60,9 @@ struct FleetEntry {
 
 class FleetView : public ServerObserver {
  public:
+  // Rows per block of the block-max index.
+  static constexpr size_t kBlockRows = 64;
+
   FleetView() = default;
   ~FleetView() override;
 
@@ -64,7 +85,6 @@ class FleetView : public ServerObserver {
   void OnServerAllocationChanged(ServerId id) override;
 
   void MarkDirty(size_t row);
-  void MarkAllDirty();
   bool HasDirty() const { return !dirty_rows_.empty(); }
 
   // Candidate eligibility (healthy servers accept placements). Maintained
@@ -74,10 +94,26 @@ class FleetView : public ServerObserver {
   }
   bool eligible(size_t row) const { return eligible_[row] != 0; }
 
-  // Re-reads every dirty row from its Server in ascending row order, then
-  // clears the dirty set. O(1) when nothing is dirty. Must run before any
-  // scan consumes the columns.
+  // Re-reads every dirty row from its Server in ascending row order, records
+  // each as changed in its block, then clears the dirty set. O(1) when
+  // nothing is dirty. Must run before any scan consumes the columns or
+  // block maxima.
   void Refresh();
+
+  size_t num_blocks() const { return block_changed_[0].size(); }
+
+  // Componentwise maximum, over every row of `block` (eligible or not), of
+  // the availability under `mode`: kNumResources doubles in ResourceKind
+  // order. Brings the maximum up to date first when a Refresh() changed
+  // one of the block's rows since the last read. A NaN component keeps the
+  // maximum NaN, so no epsilon test can rule the block out on it.
+  const double* BlockMax(size_t block, AvailabilityMode mode) {
+    const auto m = static_cast<size_t>(mode);
+    if (block_changed_[m][block] != 0) {
+      UpdateBlockMax(block, mode);
+    }
+    return &block_max_[m][block * kNumResources];
+  }
 
   // Column base pointers for the flat placement scans (valid after Bind;
   // read-only, coherent after Refresh()).
@@ -93,6 +129,19 @@ class FleetView : public ServerObserver {
   const double* nominal_col(ResourceKind k) const {
     return nominal_[static_cast<size_t>(k)].data();
   }
+  // The column added to free_col(k) to form a row's availability under
+  // `mode`: deflatable_col(k), preemptible_col(k), or null for kFreeOnly.
+  const double* extra_col(ResourceKind k, AvailabilityMode mode) const {
+    switch (mode) {
+      case AvailabilityMode::kFreeOnly:
+        return nullptr;
+      case AvailabilityMode::kFreePlusDeflatable:
+        return deflatable_col(k);
+      case AvailabilityMode::kFreePlusPreemptible:
+        return preemptible_col(k);
+    }
+    return nullptr;
+  }
 
   // Row materialized back into vectors (no refresh; callers wanting
   // coherent values call Refresh() first).
@@ -102,8 +151,15 @@ class FleetView : public ServerObserver {
   // server's accessors right now. Property tests call this after Refresh().
   bool RowConsistent(size_t row) const;
 
+  // True when every maximum of `block` that no Refresh() has changed since
+  // its last read equals a recomputation from the rows' entries, and the
+  // row recorded as holding it does. (A changed one is brought up to date
+  // before any scan reads it.) Property tests call this after Refresh().
+  bool BlockMaxConsistent(size_t block) const;
+
  private:
   void RefreshRow(size_t row);
+  void UpdateBlockMax(size_t block, AvailabilityMode mode);
 
   const std::vector<std::unique_ptr<Server>>* servers_ = nullptr;
   size_t count_ = 0;
@@ -120,6 +176,13 @@ class FleetView : public ServerObserver {
   // rows are dirty) so rows always refresh in ascending canonical order.
   std::vector<uint8_t> dirty_;
   std::vector<uint32_t> dirty_rows_;
+
+  // Block-max index, per mode: kNumResources maxima per block, the offset
+  // within the block of a row holding each one, and per block a bitmask of
+  // the rows Refresh() changed since that mode's maxima were last updated.
+  std::array<std::vector<double>, kNumAvailabilityModes> block_max_;
+  std::array<std::vector<uint8_t>, kNumAvailabilityModes> block_argmax_;
+  std::array<std::vector<uint64_t>, kNumAvailabilityModes> block_changed_;
 };
 
 }  // namespace defl

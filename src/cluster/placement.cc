@@ -1,5 +1,6 @@
 #include "src/cluster/placement.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace defl {
@@ -55,70 +56,97 @@ FleetCols ModeColumns(const FleetView& fleet, AvailabilityMode mode) {
   for (const ResourceKind kind : kAllResources) {
     const auto k = static_cast<size_t>(kind);
     cols.base[k] = fleet.free_col(kind);
-    switch (mode) {
-      case AvailabilityMode::kFreeOnly:
-        cols.extra[k] = nullptr;
-        break;
-      case AvailabilityMode::kFreePlusDeflatable:
-        cols.extra[k] = fleet.deflatable_col(kind);
-        break;
-      case AvailabilityMode::kFreePlusPreemptible:
-        cols.extra[k] = fleet.preemptible_col(kind);
-        break;
-    }
+    cols.extra[k] = fleet.extra_col(kind, mode);
   }
   return cols;
 }
 
-// Scans every candidate position in ascending order. Every floating-point
-// operation replicates the ResourceVector path in the same order:
-// availability = base (+ extra) per dimension (the same adds as
+// True when some dimension of the demand exceeds a block's maximum
+// availability by more than the epsilon. fl(a + eps) is monotone in a, so
+// that dimension fails the row test below for every row of the block.
+bool BlockCannotFit(const double* max, const double (&d)[kNumResources]) {
+  bool cannot = false;
+  for (int k = 0; k < kNumResources; ++k) {
+    cannot |= d[k] > max[k] + kFeasibilityEps;
+  }
+  return cannot;
+}
+
+// Scans the candidate positions in ascending order, one block of rows at a
+// time, and jumps past every block whose maximum cannot hold the demand:
+// no row there is feasible, so the first feasible position and the
+// best-fit argmax are those of a scan that visits every candidate. Every
+// floating-point operation replicates the ResourceVector path in the same
+// order: availability = base (+ extra) per dimension (the same adds as
 // Server::Availability), feasibility = AllLeq's per-dimension compare with
 // the same epsilon, fitness = CosineSimilarity's dot / (|d| * |a|) with
 // dimension-order accumulation and the degenerate-denominator guard. The
-// loop reads only contiguous arrays: no pointer-chasing, no virtual calls,
-// and the compiler can vectorize the per-dimension math.
+// row loop reads only contiguous arrays: no pointer-chasing, no virtual
+// calls, and the compiler can vectorize the per-dimension math.
 template <bool kHasExtra>
-ScanResult ScanFleetImpl(const FleetCols& cols, const double (&d)[kNumResources],
-                         double demand_norm, const std::vector<uint32_t>& candidates,
-                         bool need_fitness) {
-  constexpr double kEps = 1e-9;  // matches ResourceVector::AllLeq's default
+ScanResult ScanFleetImpl(FleetView& fleet, AvailabilityMode mode, const FleetCols& cols,
+                         const double (&d)[kNumResources], double demand_norm,
+                         const std::vector<uint32_t>& candidates, bool need_fitness) {
+  constexpr size_t kBlockRows = FleetView::kBlockRows;
   ScanResult out;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const size_t row = candidates[i];
-    double a[kNumResources];
-    bool feasible = true;
-    for (int k = 0; k < kNumResources; ++k) {
-      a[k] = kHasExtra ? cols.base[k][row] + cols.extra[k][row] : cols.base[k][row];
-      feasible &= !(d[k] > a[k] + kEps);
+  const size_t n = candidates.size();
+  size_t i = 0;
+  while (i < n) {
+    // Positions [i, end) hold this block's candidates. Candidates ascend,
+    // so at most block_end - candidates[i] of them lie in the block. When
+    // the last of those positions is still in it (every row of the block
+    // is a candidate), that bound is the end; otherwise a binary search
+    // over at most kBlockRows positions finds it.
+    const size_t block = candidates[i] / kBlockRows;
+    const size_t block_end = (block + 1) * kBlockRows;
+    size_t end = std::min(n, i + (block_end - candidates[i]));
+    if (candidates[end - 1] >= block_end) {
+      const auto begin = candidates.begin();
+      end = static_cast<size_t>(std::lower_bound(begin + static_cast<std::ptrdiff_t>(i),
+                                                 begin + static_cast<std::ptrdiff_t>(end),
+                                                 block_end) -
+                                begin);
     }
-    if (!feasible) {
+    if (BlockCannotFit(fleet.BlockMax(block, mode), d)) {
+      i = end;
       continue;
     }
-    if (out.first_feasible == SIZE_MAX) {
-      out.first_feasible = i;
-      if (!need_fitness) {
-        return out;  // first-fit needs nothing past the first hit
+    for (; i < end; ++i) {
+      const size_t row = candidates[i];
+      double a[kNumResources];
+      bool feasible = true;
+      for (int k = 0; k < kNumResources; ++k) {
+        a[k] = kHasExtra ? cols.base[k][row] + cols.extra[k][row] : cols.base[k][row];
+        feasible &= !(d[k] > a[k] + kFeasibilityEps);
       }
-    }
-    double dot = 0.0;
-    double norm2 = 0.0;
-    for (int k = 0; k < kNumResources; ++k) {
-      dot += d[k] * a[k];
-      norm2 += a[k] * a[k];
-    }
-    const double denom = demand_norm * std::sqrt(norm2);
-    const double fitness = denom == 0.0 ? 0.0 : dot / denom;
-    if (fitness > out.best_fitness ||
-        (fitness == out.best_fitness && i < out.best_feasible)) {
-      out.best_fitness = fitness;
-      out.best_feasible = i;
+      if (!feasible) {
+        continue;
+      }
+      if (out.first_feasible == SIZE_MAX) {
+        out.first_feasible = i;
+        if (!need_fitness) {
+          return out;  // first-fit needs nothing past the first hit
+        }
+      }
+      double dot = 0.0;
+      double norm2 = 0.0;
+      for (int k = 0; k < kNumResources; ++k) {
+        dot += d[k] * a[k];
+        norm2 += a[k] * a[k];
+      }
+      const double denom = demand_norm * std::sqrt(norm2);
+      const double fitness = denom == 0.0 ? 0.0 : dot / denom;
+      if (fitness > out.best_fitness ||
+          (fitness == out.best_fitness && i < out.best_feasible)) {
+        out.best_fitness = fitness;
+        out.best_feasible = i;
+      }
     }
   }
   return out;
 }
 
-ScanResult ScanFleet(const ResourceVector& demand, const FleetView& fleet,
+ScanResult ScanFleet(const ResourceVector& demand, FleetView& fleet,
                      const std::vector<uint32_t>& candidates, AvailabilityMode mode,
                      bool need_fitness) {
   const FleetCols cols = ModeColumns(fleet, mode);
@@ -128,8 +156,10 @@ ScanResult ScanFleet(const ResourceVector& demand, const FleetView& fleet,
   }
   const double demand_norm = demand.Norm();
   return cols.extra[0] != nullptr
-             ? ScanFleetImpl<true>(cols, d, demand_norm, candidates, need_fitness)
-             : ScanFleetImpl<false>(cols, d, demand_norm, candidates, need_fitness);
+             ? ScanFleetImpl<true>(fleet, mode, cols, d, demand_norm, candidates,
+                                   need_fitness)
+             : ScanFleetImpl<false>(fleet, mode, cols, d, demand_norm, candidates,
+                                    need_fitness);
 }
 
 }  // namespace
@@ -140,17 +170,9 @@ ResourceVector FleetAvailability(const FleetView& fleet, size_t row,
   // second aggregate per dimension exactly like ResourceVector::operator+.
   ResourceVector out;
   for (const ResourceKind kind : kAllResources) {
-    switch (mode) {
-      case AvailabilityMode::kFreeOnly:
-        out[kind] = fleet.free_col(kind)[row];
-        break;
-      case AvailabilityMode::kFreePlusDeflatable:
-        out[kind] = fleet.free_col(kind)[row] + fleet.deflatable_col(kind)[row];
-        break;
-      case AvailabilityMode::kFreePlusPreemptible:
-        out[kind] = fleet.free_col(kind)[row] + fleet.preemptible_col(kind)[row];
-        break;
-    }
+    const double* extra = fleet.extra_col(kind, mode);
+    out[kind] = extra == nullptr ? fleet.free_col(kind)[row]
+                                 : fleet.free_col(kind)[row] + extra[row];
   }
   return out;
 }

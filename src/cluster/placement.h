@@ -24,14 +24,6 @@ const char* PlacementPolicyName(PlacementPolicy policy);
 // valid ones.
 Result<PlacementPolicy> PlacementPolicyFromName(const std::string& name);
 
-// What counts as a server's availability for a given arrival:
-//   kFreeOnly            -- untouched resources only (no reclamation),
-//   kFreePlusDeflatable  -- free + what deflation can reclaim (low-priority
-//                           arrivals under deflation-based management),
-//   kFreePlusPreemptible -- free + everything low-priority VMs hold (high-
-//                           priority arrivals, which may displace them).
-enum class AvailabilityMode { kFreeOnly, kFreePlusDeflatable, kFreePlusPreemptible };
-
 // fitness(D, A) = (A . D) / (|A| |D|); higher is better.
 double PlacementFitness(const ResourceVector& demand, const ResourceVector& availability);
 
@@ -42,8 +34,9 @@ ResourceVector FleetAvailability(const FleetView& fleet, size_t row,
                                  AvailabilityMode mode);
 
 // Picks a row whose availability (per `mode`) covers `demand`, scanning the
-// FleetView's flat columns. `candidates` lists the eligible rows (ascending
-// for the canonical placement order); the returned index is a POSITION in
+// FleetView's flat columns. `candidates` lists the eligible rows and must
+// be ascending: the scan relies on it to jump past a whole block of rows
+// that its block maximum rules out. The returned index is a POSITION in
 // `candidates`, or an error when no candidate is feasible. Refreshes the
 // view first (O(1) when clean). First-fit returns the lowest feasible
 // position; best-fit the highest fitness with the lowest position breaking

@@ -19,6 +19,11 @@ inline constexpr std::array<ResourceKind, kNumResources> kAllResources = {
 
 const char* ResourceKindName(ResourceKind kind);
 
+// Slack of every placement feasibility test: a demand fits an availability
+// when no dimension exceeds it by more than this (AllLeq's default, the
+// placement scan and its block-max skip).
+inline constexpr double kFeasibilityEps = 1e-9;
+
 class ResourceVector {
  public:
   constexpr ResourceVector() : v_{} {}
@@ -57,7 +62,7 @@ class ResourceVector {
   ResourceVector SafeDivide(const ResourceVector& o) const;
 
   // True if every dimension of this is <= the corresponding dim of o + eps.
-  bool AllLeq(const ResourceVector& o, double eps = 1e-9) const;
+  bool AllLeq(const ResourceVector& o, double eps = kFeasibilityEps) const;
   // True if any dimension exceeds eps.
   bool AnyPositive(double eps = 1e-9) const;
   bool IsZero(double eps = 1e-9) const { return !AnyPositive(eps); }

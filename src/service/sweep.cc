@@ -1,6 +1,7 @@
 #include "src/service/sweep.h"
 
 #include <cmath>
+#include <limits>
 #include <string_view>
 
 #include "src/common/text_parse.h"
@@ -71,8 +72,11 @@ Result<std::string> RunCell(const WhatIfService& service, const SweepGrid& grid,
 
   // 2. Admission stage: push `shape` VMs (the intensity axis scales the
   // budget) until the overcommit target is reached or a launch bounces.
-  const int64_t budget = static_cast<int64_t>(
-      std::floor(intensity * static_cast<double>(grid.limit) + 0.5));
+  // A budget past int64 saturates: the cast would be undefined, and the
+  // target or the first bounce still bounds the loop.
+  const double scaled = std::floor(intensity * static_cast<double>(grid.limit) + 0.5);
+  const int64_t budget = scaled < 0x1p63 ? static_cast<int64_t>(scaled)
+                                         : std::numeric_limits<int64_t>::max();
   VmSpec spec;
   spec.name = "sweep";
   spec.size = grid.shape;

@@ -249,5 +249,196 @@ TEST(PlacementAvailabilityTest, PreemptibleModeCountsWholeLowPriorityVms) {
   EXPECT_DOUBLE_EQ(FleetAvailability(fleet, 0, AvailabilityMode::kFreeOnly).cpu(), 4.0);
 }
 
+// 150 empty 16-core servers: three blocks of the block-max index, the last
+// one partial (rows 128-149). Every row starts full of rigid high-priority
+// VMs; a case frees exactly the rows it needs, so the scans meet whole
+// blocks that cannot hold the demand.
+class BlockIndexFixture : public ::testing::Test {
+ protected:
+  static constexpr int kRows = 150;
+
+  BlockIndexFixture() {
+    for (int i = 0; i < kRows; ++i) {
+      servers_.push_back(std::make_unique<Server>(i, ResourceVector(16.0, 65536.0)));
+    }
+    fleet_.Bind(servers_);
+    for (int i = 0; i < kRows; ++i) {
+      Leave(i, 0.0, 0.0);
+    }
+  }
+
+  // Fills `row` with one rigid VM so that exactly (cpu, mem_mb) stays free.
+  void Leave(int row, double cpu, double mem_mb) {
+    Server& server = *servers_[static_cast<size_t>(row)];
+    if (!server.vms().empty()) {
+      server.RemoveVm(server.vms().front()->id());
+    }
+    server.AddVm(MakeVm(1000 + row, 16.0 - cpu, 65536.0 - mem_mb, VmPriority::kHigh));
+  }
+
+  std::vector<Server*> Servers(const std::vector<uint32_t>& rows) {
+    std::vector<Server*> out;
+    for (const uint32_t row : rows) {
+      out.push_back(servers_[row].get());
+    }
+    return out;
+  }
+
+  static std::vector<uint32_t> AllRows() {
+    std::vector<uint32_t> rows;
+    for (uint32_t i = 0; i < kRows; ++i) {
+      rows.push_back(i);
+    }
+    return rows;
+  }
+
+  // PlaceVmFleet over `rows` for `policy` in free-only mode, after checking
+  // that it agrees with the serial reference: decision and RNG state.
+  Result<size_t> PlaceChecked(const ResourceVector& demand,
+                              const std::vector<uint32_t>& rows, PlacementPolicy policy) {
+    Rng object_rng(11);
+    Rng fleet_rng(11);
+    const Result<size_t> object_pick = PlaceVm(demand, Servers(rows), policy, object_rng,
+                                               AvailabilityMode::kFreeOnly);
+    const Result<size_t> fleet_pick = PlaceVmFleet(demand, fleet_, rows, policy, fleet_rng,
+                                                   AvailabilityMode::kFreeOnly);
+    EXPECT_EQ(object_rng.SaveState(), fleet_rng.SaveState()) << PlacementPolicyName(policy);
+    EXPECT_EQ(object_pick.ok(), fleet_pick.ok()) << PlacementPolicyName(policy);
+    if (object_pick.ok() && fleet_pick.ok()) {
+      EXPECT_EQ(object_pick.value(), fleet_pick.value()) << PlacementPolicyName(policy);
+    }
+    return fleet_pick;
+  }
+
+  std::vector<std::unique_ptr<Server>> servers_;
+  FleetView fleet_;
+};
+
+TEST_F(BlockIndexFixture, BlockMaxCoveringDemandWithNoFittingRowIsScanned) {
+  // Block 0's maximum is (12 cpu, 48 GiB) -- CPU from row 5, memory from
+  // row 9 -- so it covers the demand, yet neither row can hold it. The
+  // block must be scanned and rejected row by row; the hit is in block 1.
+  Leave(5, 12.0, 1024.0);
+  Leave(9, 1.0, 49152.0);
+  Leave(100, 10.0, 40960.0);
+  const ResourceVector demand(8.0, 32768.0);
+  for (const PlacementPolicy policy : {PlacementPolicy::kFirstFit, PlacementPolicy::kBestFit,
+                                       PlacementPolicy::kTwoChoices}) {
+    const Result<size_t> placed = PlaceChecked(demand, AllRows(), policy);
+    ASSERT_TRUE(placed.ok()) << PlacementPolicyName(policy);
+    EXPECT_EQ(placed.value(), 100u) << PlacementPolicyName(policy);
+  }
+  // Once row 9 also has the CPU, the scan stops in block 0.
+  Leave(9, 8.0, 49152.0);
+  const Result<size_t> placed = PlaceChecked(demand, AllRows(), PlacementPolicy::kFirstFit);
+  ASSERT_TRUE(placed.ok());
+  EXPECT_EQ(placed.value(), 9u);
+}
+
+TEST_F(BlockIndexFixture, OnlyFeasibleRowInLastPartialBlock) {
+  Leave(kRows - 1, 4.0, 16384.0);
+  const ResourceVector demand(4.0, 16384.0);
+  for (const PlacementPolicy policy : {PlacementPolicy::kFirstFit, PlacementPolicy::kBestFit,
+                                       PlacementPolicy::kTwoChoices}) {
+    const Result<size_t> placed = PlaceChecked(demand, AllRows(), policy);
+    ASSERT_TRUE(placed.ok()) << PlacementPolicyName(policy);
+    EXPECT_EQ(placed.value(), static_cast<size_t>(kRows - 1)) << PlacementPolicyName(policy);
+  }
+  // A demand just past that row's room fits nowhere.
+  for (const PlacementPolicy policy : {PlacementPolicy::kFirstFit, PlacementPolicy::kBestFit,
+                                       PlacementPolicy::kTwoChoices}) {
+    EXPECT_FALSE(PlaceChecked(ResourceVector(4.5, 16384.0), AllRows(), policy).ok())
+        << PlacementPolicyName(policy);
+  }
+}
+
+TEST_F(BlockIndexFixture, CandidatesNamingPartOfABlock) {
+  // Row 71 is the only feasible row of block 1, but it is not a candidate:
+  // the block's maximum covers the demand, so its candidates 70 and 72 are
+  // scanned and rejected, and the hit is row 140 at position 4.
+  Leave(71, 8.0, 32768.0);
+  Leave(140, 8.0, 32768.0);
+  const ResourceVector demand(4.0, 16384.0);
+  const std::vector<uint32_t> rows = {3, 10, 70, 72, 140};
+  for (const PlacementPolicy policy : {PlacementPolicy::kFirstFit, PlacementPolicy::kBestFit,
+                                       PlacementPolicy::kTwoChoices}) {
+    const Result<size_t> placed = PlaceChecked(demand, rows, policy);
+    ASSERT_TRUE(placed.ok()) << PlacementPolicyName(policy);
+    EXPECT_EQ(placed.value(), 4u) << PlacementPolicyName(policy);
+  }
+  // Naming row 71 makes it the first hit, at position 3.
+  const Result<size_t> placed =
+      PlaceChecked(demand, {3, 10, 70, 71, 72, 140}, PlacementPolicy::kFirstFit);
+  ASSERT_TRUE(placed.ok());
+  EXPECT_EQ(placed.value(), 3u);
+  // Every row but 63: skipping block 0 must land on row 64 at position 63,
+  // the first candidate of block 1, not one past it.
+  Leave(64, 4.0, 16384.0);
+  std::vector<uint32_t> all_but_63 = AllRows();
+  all_but_63.erase(all_but_63.begin() + 63);
+  const Result<size_t> after_gap =
+      PlaceChecked(demand, all_but_63, PlacementPolicy::kFirstFit);
+  ASSERT_TRUE(after_gap.ok());
+  EXPECT_EQ(after_gap.value(), 63u);
+}
+
+TEST_F(BlockIndexFixture, BestFitTieAcrossSkippedBlockKeepsLowestPosition) {
+  // Rows 20 and 130 have the same room, hence the same fitness; block 1
+  // between them cannot hold the demand and is skipped. The tie goes to
+  // the lower position.
+  Leave(20, 6.0, 16384.0);
+  Leave(130, 6.0, 16384.0);
+  Leave(80, 2.0, 65536.0);  // block 1 has memory but not the CPU
+  const ResourceVector demand(4.0, 16384.0);
+  const Result<size_t> placed = PlaceChecked(demand, AllRows(), PlacementPolicy::kBestFit);
+  ASSERT_TRUE(placed.ok());
+  EXPECT_EQ(placed.value(), 20u);
+  // A strictly fitter row past the skipped block wins: its room has the
+  // demand's exact shape.
+  Leave(131, 4.0, 16384.0);
+  const Result<size_t> fitter = PlaceChecked(demand, AllRows(), PlacementPolicy::kBestFit);
+  ASSERT_TRUE(fitter.ok());
+  EXPECT_EQ(fitter.value(), 131u);
+}
+
+TEST_F(BlockIndexFixture, RowShortByLessThanEpsilonStillFits) {
+  // AllLeq forgives a shortfall up to kFeasibilityEps, so the block test
+  // must too: row 100 is short of the demand's CPU by half the epsilon.
+  Leave(100, 4.0 - kFeasibilityEps / 2, 16384.0);
+  ASSERT_LT(servers_[100]->Free().cpu(), 4.0);
+  for (const PlacementPolicy policy : {PlacementPolicy::kFirstFit, PlacementPolicy::kBestFit,
+                                       PlacementPolicy::kTwoChoices}) {
+    const Result<size_t> placed =
+        PlaceChecked(ResourceVector(4.0, 16384.0), AllRows(), policy);
+    ASSERT_TRUE(placed.ok()) << PlacementPolicyName(policy);
+    EXPECT_EQ(placed.value(), 100u) << PlacementPolicyName(policy);
+  }
+}
+
+TEST_F(BlockIndexFixture, RefreshOfMostRowsAtOnceKeepsBlockMaxExact) {
+  // Read every block maximum so that all are up to date, then change half
+  // the rows before one Refresh(), which re-reads that many rows by
+  // sweeping its dirty bitmap instead of sorting a list.
+  fleet_.Refresh();
+  for (size_t block = 0; block < fleet_.num_blocks(); ++block) {
+    for (const AvailabilityMode mode :
+         {AvailabilityMode::kFreeOnly, AvailabilityMode::kFreePlusDeflatable,
+          AvailabilityMode::kFreePlusPreemptible}) {
+      fleet_.BlockMax(block, mode);
+    }
+  }
+  for (int row = 0; row < kRows; row += 2) {
+    Leave(row, 8.0, 32768.0);
+  }
+  fleet_.Refresh();
+  for (size_t block = 0; block < fleet_.num_blocks(); ++block) {
+    EXPECT_TRUE(fleet_.BlockMaxConsistent(block)) << "block " << block;
+  }
+  const Result<size_t> placed =
+      PlaceChecked(ResourceVector(8.0, 32768.0), AllRows(), PlacementPolicy::kFirstFit);
+  ASSERT_TRUE(placed.ok());
+  EXPECT_EQ(placed.value(), 0u);
+}
+
 }  // namespace
 }  // namespace defl

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/cluster/sim_session.h"
 #include "src/service/sweep.h"
@@ -118,6 +119,38 @@ TEST_P(SweepDigestTest, ReportIsWorkerInvariantAndMatchesDigest) {
   EXPECT_EQ(it->second, digest)
       << "sweep '" << name << "' report changed; if intended, regenerate "
       << kDigestFile << " with DEFL_UPDATE_GOLDEN=1";
+}
+
+// The admitted counts of a sweep report's cell lines, in cell order.
+std::vector<int64_t> AdmittedPerCell(const std::string& report) {
+  std::vector<int64_t> admitted;
+  const std::string key = "\"admitted\":";
+  for (size_t at = report.find(key); at != std::string::npos;
+       at = report.find(key, at + key.size())) {
+    admitted.push_back(std::stoll(report.substr(at + key.size())));
+  }
+  return admitted;
+}
+
+TEST(SweepCellTest, HugeIntensitySaturatesTheAdmissionBudget) {
+  // intensity * limit = 1e303 does not fit an int64 admission budget. The
+  // budget saturates, so the cell admits until the overcommit target or
+  // the first bounce, exactly like a merely large intensity.
+  Result<SweepGrid> grid = ParseSweepGrid(
+      "intensity = 1e9, 1e300\n"
+      "overcommit-target = 4\n"
+      "limit = 1000\n"
+      "shape = 1:4096\n");
+  ASSERT_TRUE(grid.ok()) << grid.error();
+  Result<WhatIfService> service = WhatIfService::Load(GoldenSnapshot());
+  ASSERT_TRUE(service.ok()) << service.error();
+  SweepOrchestrator orchestrator(&service.value());
+  Result<std::string> report = orchestrator.Run(grid.value(), 1);
+  ASSERT_TRUE(report.ok()) << report.error();
+  const std::vector<int64_t> admitted = AdmittedPerCell(report.value());
+  ASSERT_EQ(admitted.size(), 2u) << report.value();
+  EXPECT_GT(admitted[0], 0) << report.value();
+  EXPECT_EQ(admitted[1], admitted[0]) << report.value();
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, SweepDigestTest,

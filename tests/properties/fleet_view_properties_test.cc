@@ -6,7 +6,12 @@
 // SoA placement scan (PlaceVmFleet) must return the same decision as the
 // serial object-graph reference (tests/cluster/placement_reference.h) for
 // every policy and availability mode, including the 2-choices RNG draw
-// sequence. Seeded from DEFL_FAULT_SEED so CI can run a seed matrix.
+// sequence, both over every row and over the healthy rows only (crashes
+// leave gaps in that candidate list). Every block maximum of the block-max
+// index must equal a recomputation from the rows. The sequence runs on 5
+// servers (one partial block) and on 150 (three blocks, the last partial),
+// where whole blocks fill up and the scans skip them. Seeded from
+// DEFL_FAULT_SEED so CI can run a seed matrix.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -40,6 +45,19 @@ std::unique_ptr<Vm> RandomVm(VmId id, Rng& rng) {
   return std::make_unique<Vm>(id, spec);
 }
 
+// Every block maximum a scan would read must equal the maximum of the
+// availabilities of the block's rows. A Refresh() that forgot to record a
+// changed row, or an update that read the wrong rows or columns or kept a
+// maximum whose row dropped, fails here; BlockMaxConsistent checks every
+// maximum that no Refresh() has changed since its last update.
+void ExpectBlockMaxExact(FleetView& fleet) {
+  ASSERT_EQ(fleet.num_blocks(),
+            (fleet.size() + FleetView::kBlockRows - 1) / FleetView::kBlockRows);
+  for (size_t block = 0; block < fleet.num_blocks(); ++block) {
+    EXPECT_TRUE(fleet.BlockMaxConsistent(block)) << "block " << block;
+  }
+}
+
 // Every mirrored row, after Refresh(), must be bitwise-equal to what the
 // server's accessors report right now (RowConsistent re-reads the accessors
 // and compares with operator==, i.e. exact doubles). A mutation path that
@@ -51,13 +69,14 @@ void ExpectMirrorExact(ClusterManager& manager) {
   for (size_t row = 0; row < fleet.size(); ++row) {
     EXPECT_TRUE(fleet.RowConsistent(row)) << "row " << row;
   }
+  ExpectBlockMaxExact(fleet);
 }
 
 // The SoA scan and the object-graph reference must agree exactly -- same
 // feasibility verdict, same chosen server, same RNG consumption -- for
-// every policy x availability mode.
-void ExpectScanEquivalent(ClusterManager& manager, Rng& rng) {
-  std::vector<Server*> servers = manager.servers();
+// every policy x availability mode over the candidate `servers`.
+void ExpectScanEquivalent(ClusterManager& manager, const std::vector<Server*>& servers,
+                          Rng& rng) {
   std::vector<uint32_t> rows;
   rows.reserve(servers.size());
   for (const Server* server : servers) {
@@ -91,24 +110,25 @@ void ExpectScanEquivalent(ClusterManager& manager, Rng& rng) {
   }
 }
 
-class FleetViewPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(FleetViewPropertyTest, RandomOpSequenceKeepsMirrorExact) {
-  const uint64_t seed = TestSeed() + static_cast<uint64_t>(GetParam()) * 7919;
+// Runs `ops` random cluster operations on `num_servers` servers, checking
+// the mirror, the block maxima and the scans after every one. The first
+// `fill_ops` operations are all launches, so a large fleet fills up and the
+// scans meet whole blocks that cannot hold the demand.
+void RunOpSequence(int param, int num_servers, int fill_ops, int ops) {
+  const uint64_t seed = TestSeed() + static_cast<uint64_t>(param) * 7919;
   Rng rng(seed);
   ClusterConfig config;
-  config.strategy = GetParam() % 2 == 0 ? ReclamationStrategy::kDeflation
-                                        : ReclamationStrategy::kPreemptionOnly;
-  config.controller.mode = GetParam() % 3 == 0 ? DeflationMode::kVmLevel
-                                               : DeflationMode::kCascade;
-  config.placement = static_cast<PlacementPolicy>(GetParam() % 3);
-  const int num_servers = 5;
+  config.strategy = param % 2 == 0 ? ReclamationStrategy::kDeflation
+                                   : ReclamationStrategy::kPreemptionOnly;
+  config.controller.mode = param % 3 == 0 ? DeflationMode::kVmLevel
+                                          : DeflationMode::kCascade;
+  config.placement = static_cast<PlacementPolicy>(param % 3);
   ClusterManager manager(num_servers, ResourceVector(16.0, 65536.0), config);
 
   std::vector<VmId> live;
   VmId next_id = 1;
-  for (int op = 0; op < 300; ++op) {
-    const int64_t roll = rng.UniformInt(0, 99);
+  for (int op = 0; op < ops; ++op) {
+    const int64_t roll = op < fill_ops ? 0 : rng.UniformInt(0, 99);
     if (roll < 45) {  // launch (may cascade-deflate or preempt under load)
       const VmId id = next_id++;
       if (manager.LaunchVm(RandomVm(id, rng)).ok()) {
@@ -153,11 +173,31 @@ TEST_P(FleetViewPropertyTest, RandomOpSequenceKeepsMirrorExact) {
     std::erase_if(live, [&manager](VmId id) { return manager.FindVm(id) == nullptr; });
 
     ExpectMirrorExact(manager);
-    ExpectScanEquivalent(manager, rng);
+    const std::vector<Server*> servers = manager.servers();
+    std::vector<Server*> healthy;
+    for (Server* server : servers) {
+      if (manager.health(server->id()) == ServerHealth::kHealthy) {
+        healthy.push_back(server);
+      }
+    }
+    ExpectScanEquivalent(manager, servers, rng);
+    ExpectScanEquivalent(manager, healthy, rng);
+    ExpectBlockMaxExact(manager.fleet());
     if (::testing::Test::HasFailure()) {
-      FAIL() << "fleet view drifted at op " << op << " (seed " << seed << ")";
+      FAIL() << "fleet view drifted at op " << op << " (seed " << seed << ", "
+             << num_servers << " servers)";
     }
   }
+}
+
+class FleetViewPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FleetViewPropertyTest, RandomOpSequenceKeepsMirrorExact) {
+  RunOpSequence(GetParam(), /*num_servers=*/5, /*fill_ops=*/0, /*ops=*/300);
+}
+
+TEST_P(FleetViewPropertyTest, ThreeBlockFleetKeepsIndexExact) {
+  RunOpSequence(GetParam(), /*num_servers=*/150, /*fill_ops=*/450, /*ops=*/900);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FleetViewPropertyTest, ::testing::Range(0, 12));
