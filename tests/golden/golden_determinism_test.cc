@@ -7,12 +7,20 @@
 // the config carries a thread count in ClusterConfig::threads, a slot that
 // nothing reads but that older configs and snapshots set.
 //
+// The snapshot bytes each scenario writes at its halfway point are pinned
+// the same way, in tests/golden/snapshot_digests.txt, so a codec change that
+// moves a single snapshot byte shows up even when the restored run's output
+// does not.
+//
 // To regenerate after an intended output change:
 //   DEFL_UPDATE_GOLDEN=1 ./golden_determinism_test
-// then copy the printed block into tests/golden/golden_digests.txt.
+// then copy the printed GOLDEN block into tests/golden/golden_digests.txt
+// and the SNAPSHOT block into tests/golden/snapshot_digests.txt.
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -22,6 +30,7 @@
 
 #include "src/cluster/cluster_sim.h"
 #include "src/cluster/sim_session.h"
+#include "src/cluster/trace.h"
 #include "src/faults/fault_plan.h"
 #include "src/telemetry/telemetry.h"
 
@@ -34,6 +43,8 @@ namespace {
 
 constexpr const char* kDigestFile =
     DEFL_SOURCE_DIR "/tests/golden/golden_digests.txt";
+constexpr const char* kSnapshotDigestFile =
+    DEFL_SOURCE_DIR "/tests/golden/snapshot_digests.txt";
 
 // FNV-1a 64-bit: tiny, dependency-free, and stable across platforms for the
 // byte-stream pinning this suite needs (not cryptographic, not required).
@@ -176,9 +187,30 @@ std::string RunScenarioWithSnapshot(const std::string& name, int threads) {
   return out.str();
 }
 
-std::map<std::string, std::string> LoadDigests() {
+// The snapshot an uninterrupted run writes at its halfway point, event
+// trace recording on. `base_explicit_trace` is `base` handed its generated
+// trace as an explicit one, so the inlined trace section is pinned too.
+std::string HalfwaySnapshotBytes(const std::string& name) {
+  const bool explicit_trace = name == "base_explicit_trace";
+  ClusterSimConfig config = MakeConfig(explicit_trace ? "base" : name);
+  if (explicit_trace) {
+    config.explicit_trace = GenerateTrace(config.trace);
+  }
+  TelemetryContext telemetry;
+  telemetry.trace().set_enabled(true);
+  config.telemetry = &telemetry;
+  Result<SimSession> session = SimSession::Open(config);
+  EXPECT_TRUE(session.ok()) << session.error();
+  if (!session.ok()) {
+    return "";
+  }
+  session.value().StepUntil(config.trace.duration_s / 2.0);
+  return session.value().SnapshotBytes();
+}
+
+std::map<std::string, std::string> LoadDigests(const char* path = kDigestFile) {
   std::map<std::string, std::string> digests;
-  std::ifstream in(kDigestFile);
+  std::ifstream in(path);
   std::string name;
   std::string digest;
   while (in >> name >> digest) {
@@ -234,6 +266,32 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, GoldenDeterminismTest,
                          [](const testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+TEST(GoldenDeterminismTest, SnapshotBytesMatchCheckedInDigest) {
+  const bool update = std::getenv("DEFL_UPDATE_GOLDEN") != nullptr;
+  const std::map<std::string, std::string> digests = LoadDigests(kSnapshotDigestFile);
+  std::vector<std::string> names(std::begin(kScenarios), std::end(kScenarios));
+  names.push_back("base_explicit_trace");
+  for (const std::string& name : names) {
+    const std::string bytes = HalfwaySnapshotBytes(name);
+    ASSERT_FALSE(bytes.empty()) << name;
+    const std::string digest = HexDigest(Fnv1a64(bytes));
+    if (update) {
+      std::printf("SNAPSHOT %s %s\n", name.c_str(), digest.c_str());
+      continue;
+    }
+    const auto it = digests.find(name);
+    ASSERT_NE(it, digests.end())
+        << "no snapshot digest for scenario '" << name << "' in "
+        << kSnapshotDigestFile << "; regenerate with DEFL_UPDATE_GOLDEN=1";
+    EXPECT_EQ(it->second, digest)
+        << "scenario " << name << ": snapshot bytes changed; if intended, bump "
+        << "kSnapshotFormatVersion and regenerate " << kSnapshotDigestFile;
+  }
+  if (update) {
+    GTEST_SKIP() << "DEFL_UPDATE_GOLDEN set; printed new snapshot digests";
+  }
+}
 
 }  // namespace
 }  // namespace defl
