@@ -97,6 +97,12 @@ std::vector<TraceEvent> GenerateDiurnalTrace(const TraceConfig& config,
   return events;
 }
 
+std::vector<TraceEvent> GenerateArrivalTrace(const TraceConfig& config,
+                                             const ArrivalGenConfig& arrivals) {
+  return arrivals.enabled ? GenerateDiurnalTrace(config, arrivals)
+                          : GenerateTrace(config);
+}
+
 double MeanVmCpu(const TraceConfig& config) {
   double total_weight = 0.0;
   double weighted_cpu = 0.0;

@@ -61,6 +61,11 @@ std::vector<TraceEvent> GenerateTrace(const TraceConfig& config);
 std::vector<TraceEvent> GenerateDiurnalTrace(const TraceConfig& config,
                                              const ArrivalGenConfig& arrivals);
 
+// The trace a simulation generates: GenerateDiurnalTrace when `arrivals` is
+// enabled, GenerateTrace otherwise.
+std::vector<TraceEvent> GenerateArrivalTrace(const TraceConfig& config,
+                                             const ArrivalGenConfig& arrivals);
+
 // Mean offered load of a config against a cluster: arrival_rate * E[lifetime]
 // * E[vm dominant share] / cluster capacity. Used to derive the arrival rate
 // for a target overcommitment level (the Figure 8c x-axis).

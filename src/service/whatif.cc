@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "src/cluster/slo_controller.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/sim/snapshot_io.h"
@@ -221,7 +222,7 @@ Result<std::string> WhatIfService::Answer(const WhatIfQuery& query) const {
       int64_t placed = 0;
       for (Server* server : manager.servers()) {
         for (const std::unique_ptr<Vm>& vm : server->vms()) {
-          if (vm->spec().name.rfind("web", 0) == 0) {
+          if (IsInteractiveSpec(vm->spec())) {
             ++placed;
           }
         }

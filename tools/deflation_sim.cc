@@ -189,9 +189,7 @@ Result<ClusterSimConfig> BuildFreshConfig(const Options& opt,
   }
   if (!opt.save_trace.empty()) {
     const std::vector<TraceEvent> generated =
-        config.arrivals.enabled
-            ? GenerateDiurnalTrace(config.trace, config.arrivals)
-            : GenerateTrace(config.trace);
+        GenerateArrivalTrace(config.trace, config.arrivals);
     const Result<bool> saved = SaveTraceFile(generated, opt.save_trace);
     if (!saved.ok()) {
       return Error{saved.error()};
