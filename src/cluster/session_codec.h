@@ -356,11 +356,11 @@ void Transfer(IO& io, TraceSection<Events>& trace) {
   io.Bool(trace.generated);
   io.Count(trace.length, trace.generated ? 0 : 8 * 2, "trace event");
   io.U64(trace.fnv);
+  if constexpr (IO::kDecoding) {
+    trace.inlined.resize(trace.generated ? 0 : static_cast<size_t>(trace.length));
+  }
   if (trace.generated) {
     return;
-  }
-  if constexpr (IO::kDecoding) {
-    trace.inlined.resize(static_cast<size_t>(trace.length));
   }
   for (auto& event : trace.inlined) {
     Transfer(io, event);
@@ -424,11 +424,14 @@ void Transfer(IO& io, T& injector) {
   const auto scope = io.Section("fault injector");
   bool present = injector.has_value();
   io.Bool(present);
+  if constexpr (IO::kDecoding) {
+    injector.reset();
+    if (present) {
+      injector.emplace();
+    }
+  }
   if (!present) {
     return;
-  }
-  if constexpr (IO::kDecoding) {
-    injector.emplace();
   }
   auto& state = *injector;
   TransferEach(io, state.site_draws, 1 + 8 * 3, "fault site", [&io](auto& site) {
