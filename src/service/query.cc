@@ -195,6 +195,10 @@ Result<WhatIfQuery> ParseQuery(const std::string& line) {
         return Error{"place query count must be >= 1 (got " +
                      std::to_string(query.count) + ")"};
       }
+      if (query.count > kMaxQueryLaunches) {
+        return Error{"place query count=" + fields.at("count") + " exceeds the cap of " +
+                     std::to_string(kMaxQueryLaunches) + " launches per query"};
+      }
       if (!has("cpu") || cpu <= 0.0) {
         return Error{"place query requires cpu= > 0"};
       }
@@ -222,6 +226,11 @@ Result<WhatIfQuery> ParseQuery(const std::string& line) {
       if (query.limit < 1) {
         return Error{"overcommit query limit must be >= 1 (got " +
                      std::to_string(query.limit) + ")"};
+      }
+      if (query.limit > kMaxQueryLaunches) {
+        return Error{"overcommit query limit=" + fields.at("limit") +
+                     " exceeds the cap of " + std::to_string(kMaxQueryLaunches) +
+                     " launches per query"};
       }
       break;
     case QueryKind::kRun:

@@ -42,10 +42,15 @@ const char* QueryKindName(QueryKind kind);
 // raise the count past what the snapshot's run already does.
 constexpr int64_t kMaxSloTicks = 100000;
 
+// Most launches one query may ask for: a `place` query's count= or an
+// `overcommit` query's limit=. A launch onto a full server deflates every
+// co-tenant, so a query's work grows with the square of its launches.
+constexpr int64_t kMaxQueryLaunches = 10000;
+
 struct WhatIfQuery {
   QueryKind kind = QueryKind::kRun;
 
-  // place: VMs to attempt (count >= 1).
+  // place: VMs to attempt (1 <= count <= kMaxQueryLaunches).
   int64_t count = 0;
   // place/overcommit: VM size (cpu required > 0; mem/disk/net >= 0) and
   // priority (prio=low VMs are fully deflatable, prio=high are firm).
@@ -59,9 +64,10 @@ struct WhatIfQuery {
   uint64_t seed = 1;
 
   // overcommit: stop once cluster Overcommitment() >= target (> 0), a launch
-  // is rejected, or `limit` admissions were attempted (1 <= limit).
+  // is rejected, or `limit` admissions were attempted
+  // (1 <= limit <= kMaxQueryLaunches).
   double target = 0.0;
-  int64_t limit = 10000;
+  int64_t limit = kMaxQueryLaunches;
 
   // slo: overrides applied to the child session before it runs, each -1 =
   // keep the snapshot's setting. `p99` is the SLO target in milliseconds

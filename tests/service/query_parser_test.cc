@@ -181,6 +181,23 @@ TEST(QueryParserTest, SloTickCountIsCapped) {
   EXPECT_TRUE(ParseQuery("slo p99=80 period=300 hours=6").ok());
 }
 
+TEST(QueryParserTest, LaunchCountsAreCapped) {
+  // A place count= or overcommit limit= above kMaxQueryLaunches would keep
+  // the server busy for minutes; the error names the key and the cap.
+  ExpectErrorMentions(ParseQuery("place count=1000000000 cpu=0.001 mem=1"),
+                      {"count=1000000000", "cap of 10000 launches"});
+  ExpectErrorMentions(
+      ParseQuery("overcommit target=1000 limit=1000000000 cpu=0.001 mem=1"),
+      {"limit=1000000000", "cap of 10000 launches"});
+  // Exactly at the cap is allowed; one more is not.
+  EXPECT_TRUE(ParseQuery("place count=10000 cpu=1").ok());
+  EXPECT_FALSE(ParseQuery("place count=10001 cpu=1").ok());
+  EXPECT_TRUE(ParseQuery("overcommit target=2 cpu=1 limit=10000").ok());
+  EXPECT_FALSE(ParseQuery("overcommit target=2 cpu=1 limit=10001").ok());
+  // The default limit is the cap.
+  EXPECT_EQ(ParseQuery("overcommit target=2 cpu=1").value().limit, kMaxQueryLaunches);
+}
+
 TEST(QueryParserTest, ScriptSkipsCommentsAndNumbersErrors) {
   Result<std::vector<WhatIfQuery>> script = ParseQueryScript(
       "# capacity check\n"
