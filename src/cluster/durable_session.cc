@@ -100,7 +100,7 @@ Result<SimSession> RestoreNewestCheckpoint(
     }
     // Cheap full validation (magic/version/checksum) before committing the
     // caller's telemetry context to a restore attempt.
-    const Result<SnapshotReader> framed = SnapshotReader::Open(bytes.value());
+    const Result<SnapshotReader> framed = SnapshotReader::OpenView(bytes.value());
     if (!framed.ok()) {
       skipped += "\n  " + file.path + ": " + framed.error();
       continue;

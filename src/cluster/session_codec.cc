@@ -1,6 +1,5 @@
 #include "src/cluster/session_codec.h"
 
-#include <algorithm>
 #include <string>
 
 namespace defl {
@@ -22,19 +21,12 @@ void SnapshotDecoder::Count(uint64_t& n, size_t min_entry_bytes, const char* wha
   }
 }
 
-void SnapshotDecoder::FailOutOfRange(const char* what, uint8_t byte) {
-  reader_.Fail(std::string("snapshot ") + what + " byte " + std::to_string(byte) +
-               " is out of range");
-}
-
-void SnapshotDecoder::NoteFailedSection() {
+void SnapshotDecoder::NoteFailedSections() {
   if (!failed_in_.empty()) {
     return;
   }
-  const size_t named = std::min(depth_, sections_.size());
-  for (size_t i = 0; i < named; ++i) {
-    failed_in_ += (i == 0 ? "" : " > ");
-    failed_in_ += sections_[i];
+  for (const char* name : open_) {
+    failed_in_ += (failed_in_.empty() ? "" : " > ") + std::string(name);
   }
 }
 

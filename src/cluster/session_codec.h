@@ -114,7 +114,6 @@ class SnapshotEncoder {
 
   explicit SnapshotEncoder(SnapshotWriter& writer) : writer_(writer) {}
 
-  bool ok() const { return true; }
   // Sections only name decode failures.
   struct [[maybe_unused]] Scope {};
   Scope Section(const char* /*name*/) { return {}; }
@@ -145,25 +144,21 @@ class SnapshotDecoder {
 
   bool ok() const { return reader_.ok(); }
   void Fail(const std::string& message) { reader_.Fail(message); }
-  // The first failure, followed by the sections it happened in.
+  // The first failure, followed by the sections open when it happened.
   std::string error() const;
 
-  // Names the section read while it lives; a failure inside reports the
-  // path of open sections.
+  // Names the section read while it lives.
   class [[nodiscard]] Scope {
    public:
     Scope(SnapshotDecoder* decoder, const char* name)
         : decoder_(decoder), armed_(decoder->ok()) {
-      if (decoder_->depth_ < decoder_->sections_.size()) {
-        decoder_->sections_[decoder_->depth_] = name;
-      }
-      ++decoder_->depth_;
+      decoder_->open_.push_back(name);
     }
     ~Scope() {
       if (armed_ && !decoder_->ok()) {
-        decoder_->NoteFailedSection();
+        decoder_->NoteFailedSections();
       }
-      --decoder_->depth_;
+      decoder_->open_.pop_back();
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
@@ -188,7 +183,8 @@ class SnapshotDecoder {
   void Enum(E& v, E last, const char* what) {
     const uint8_t byte = reader_.ReadU8();
     if (byte > static_cast<uint8_t>(last)) {
-      FailOutOfRange(what, byte);
+      reader_.Fail(std::string("snapshot ") + what + " byte " + std::to_string(byte) +
+                   " is out of range");
       return;
     }
     v = static_cast<E>(byte);
@@ -198,13 +194,11 @@ class SnapshotDecoder {
   void Count(uint64_t& n, size_t min_entry_bytes, const char* what);
 
  private:
-  void FailOutOfRange(const char* what, uint8_t byte);
-  // Records the open sections as the failure's path, once.
-  void NoteFailedSection();
+  // Records the sections open at the first failure.
+  void NoteFailedSections();
 
   SnapshotReader& reader_;
-  std::array<const char*, 8> sections_ = {};
-  size_t depth_ = 0;
+  std::vector<const char*> open_;
   std::string failed_in_;
 };
 

@@ -1,7 +1,6 @@
 #include "src/cluster/sim_session.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -40,6 +39,59 @@ struct LaterEntry {
   }
 };
 
+Result<bool> ValidateConfig(const ClusterSimConfig& config) {
+  if (config.num_servers <= 0) {
+    return Error{"num_servers must be positive"};
+  }
+  if (config.sample_period_s <= 0.0) {
+    return Error{"sample_period_s must be positive"};
+  }
+  if (config.reinflate_period_s < 0.0) {
+    return Error{"reinflate_period_s must be non-negative"};
+  }
+  if (config.trace.duration_s < 0.0) {
+    return Error{"trace.duration_s must be non-negative"};
+  }
+  if (config.recovery_grace_s < 0.0) {
+    return Error{"recovery_grace_s must be non-negative"};
+  }
+  const std::string arrivals_error = ValidateArrivalGen(config.arrivals);
+  if (!arrivals_error.empty()) {
+    return Error{"arrivals: " + arrivals_error};
+  }
+  if (config.interactive.enabled) {
+    const InteractiveSloConfig& i = config.interactive;
+    if (i.fraction < 0.0 || i.fraction > 1.0) {
+      return Error{"interactive.fraction must be in [0, 1]"};
+    }
+    if (i.slo_p99_ms <= 0.0) {
+      return Error{"interactive.slo_p99_ms must be positive"};
+    }
+    if (i.control_period_s <= 0.0) {
+      return Error{"interactive.control_period_s must be positive"};
+    }
+    if (i.rate_rps_per_cpu < 0.0) {
+      return Error{"interactive.rate_rps_per_cpu must be non-negative"};
+    }
+    if (i.rate_amplitude < 0.0 || i.rate_amplitude > 1.0) {
+      return Error{"interactive.rate_amplitude must be in [0, 1]"};
+    }
+    if (i.rate_period_s <= 0.0) {
+      return Error{"interactive.rate_period_s must be positive"};
+    }
+    if (i.latency.base_service_us <= 0.0) {
+      return Error{"interactive.latency.base_service_us must be positive"};
+    }
+    if (i.latency.knee_fraction < 0.0 || i.latency.knee_fraction >= 1.0) {
+      return Error{"interactive.latency.knee_fraction must be in [0, 1)"};
+    }
+    if (i.latency.max_utilization <= 0.0 || i.latency.max_utilization >= 1.0) {
+      return Error{"interactive.latency.max_utilization must be in (0, 1)"};
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 // Everything a running session owns. The address is pinned inside the
@@ -62,8 +114,6 @@ struct SimSession::State {
   std::vector<TraceEvent> trace;
   bool trace_generated = false;
   uint64_t trace_fnv = 0;
-  // Derived (not serialized): recounted whenever the trace is materialized.
-  int64_t interactive_tagged = 0;
   EwmaPredictor predictor;
 
   SeriesHandle util_series;
@@ -98,11 +148,8 @@ struct SimSession::State {
     trace_generated = !adopted.has_value();
     trace = trace_generated ? GenerateArrivalTrace(config.trace, config.arrivals)
                             : std::move(*adopted);
-    interactive_tagged = 0;
-    if (config.interactive.enabled) {
-      interactive_tagged = trace_generated
-                               ? ApplyInteractiveMix(trace, config.interactive)
-                               : CountInteractive(trace);
+    if (trace_generated && config.interactive.enabled) {
+      ApplyInteractiveMix(trace, config.interactive);
     }
     trace_fnv = TraceChecksum(trace);
   }
@@ -252,12 +299,7 @@ struct SimSession::State {
       entries.push_back(entry);
     }
     std::sort(entries.begin(), entries.end(),
-              [](const QueueEntry& a, const QueueEntry& b) {
-                if (a.when != b.when) {
-                  return a.when < b.when;
-                }
-                return a.seq < b.seq;
-              });
+              [](const QueueEntry& a, const QueueEntry& b) { return LaterEntry{}(b, a); });
     return entries;
   }
 
@@ -372,64 +414,46 @@ struct SimSession::State {
   // serving here appends the slo/* metrics to the registry tail -- the same
   // position BuildCore gives them -- and re-tags the regenerated trace, so
   // only future arrivals change; already-placed VMs keep their specs.
-  void ApplySloOverride(SnapshotDecoder& io,
-                        const RestoreOptions::SloOverride& override);
+  void ApplySloOverride(SnapshotDecoder& io, const RestoreOptions::SloOverride& override) {
+    const bool was_enabled = config.interactive.enabled;
+    InteractiveSloConfig& mix = config.interactive;
+    mix.enabled = true;
+    if (override.slo_p99_ms >= 0.0) {
+      mix.slo_p99_ms = override.slo_p99_ms;
+    }
+    if (override.policy >= 0) {
+      mix.slo_aware = override.policy != 0;
+    }
+    if (override.control_period_s >= 0.0) {
+      mix.control_period_s = override.control_period_s;
+    }
+    if (override.fraction >= 0.0) {
+      mix.fraction = override.fraction;
+    }
+    const Result<bool> still_valid = ValidateConfig(config);
+    if (!still_valid.ok()) {
+      io.Fail("slo override yields an invalid config: " + still_valid.error());
+      return;
+    }
+    if (override.fraction >= 0.0 || !was_enabled) {
+      if (trace_generated) {
+        MaterializeTrace(std::nullopt);
+      } else if (override.fraction >= 0.0) {
+        io.Fail("slo override cannot re-tag an explicit trace (no generator "
+                "to rerun); it tags by the \"web\" name prefix only");
+        return;
+      } else {
+        MaterializeTrace(std::move(trace));
+      }
+    }
+    if (!was_enabled) {
+      slo.RegisterMetrics(telemetry->metrics());
+      Push(NextPeriodicFire(clock.now, mix.control_period_s), SimEventKind::kSloTick, 0);
+    }
+  }
 };
 
 namespace {
-
-Result<bool> ValidateConfig(const ClusterSimConfig& config) {
-  if (config.num_servers <= 0) {
-    return Error{"num_servers must be positive"};
-  }
-  if (config.sample_period_s <= 0.0) {
-    return Error{"sample_period_s must be positive"};
-  }
-  if (config.reinflate_period_s < 0.0) {
-    return Error{"reinflate_period_s must be non-negative"};
-  }
-  if (config.trace.duration_s < 0.0) {
-    return Error{"trace.duration_s must be non-negative"};
-  }
-  if (config.recovery_grace_s < 0.0) {
-    return Error{"recovery_grace_s must be non-negative"};
-  }
-  const std::string arrivals_error = ValidateArrivalGen(config.arrivals);
-  if (!arrivals_error.empty()) {
-    return Error{"arrivals: " + arrivals_error};
-  }
-  if (config.interactive.enabled) {
-    const InteractiveSloConfig& i = config.interactive;
-    if (i.fraction < 0.0 || i.fraction > 1.0) {
-      return Error{"interactive.fraction must be in [0, 1]"};
-    }
-    if (i.slo_p99_ms <= 0.0) {
-      return Error{"interactive.slo_p99_ms must be positive"};
-    }
-    if (i.control_period_s <= 0.0) {
-      return Error{"interactive.control_period_s must be positive"};
-    }
-    if (i.rate_rps_per_cpu < 0.0) {
-      return Error{"interactive.rate_rps_per_cpu must be non-negative"};
-    }
-    if (i.rate_amplitude < 0.0 || i.rate_amplitude > 1.0) {
-      return Error{"interactive.rate_amplitude must be in [0, 1]"};
-    }
-    if (i.rate_period_s <= 0.0) {
-      return Error{"interactive.rate_period_s must be positive"};
-    }
-    if (i.latency.base_service_us <= 0.0) {
-      return Error{"interactive.latency.base_service_us must be positive"};
-    }
-    if (i.latency.knee_fraction < 0.0 || i.latency.knee_fraction >= 1.0) {
-      return Error{"interactive.latency.knee_fraction must be in [0, 1)"};
-    }
-    if (i.latency.max_utilization <= 0.0 || i.latency.max_utilization >= 1.0) {
-      return Error{"interactive.latency.max_utilization must be in (0, 1)"};
-    }
-  }
-  return true;
-}
 
 // Construction shared by Open and Restore: telemetry binding, manager,
 // fault injector, and metric registration, in the exact order the original
@@ -486,45 +510,6 @@ std::unique_ptr<SimSession::State> BuildCore(const ClusterSimConfig& config,
 }
 
 }  // namespace
-
-void SimSession::State::ApplySloOverride(SnapshotDecoder& io,
-                                         const RestoreOptions::SloOverride& override) {
-  const bool was_enabled = config.interactive.enabled;
-  InteractiveSloConfig& mix = config.interactive;
-  mix.enabled = true;
-  if (override.slo_p99_ms >= 0.0) {
-    mix.slo_p99_ms = override.slo_p99_ms;
-  }
-  if (override.policy >= 0) {
-    mix.slo_aware = override.policy != 0;
-  }
-  if (override.control_period_s >= 0.0) {
-    mix.control_period_s = override.control_period_s;
-  }
-  if (override.fraction >= 0.0) {
-    mix.fraction = override.fraction;
-  }
-  const Result<bool> still_valid = ValidateConfig(config);
-  if (!still_valid.ok()) {
-    io.Fail("slo override yields an invalid config: " + still_valid.error());
-    return;
-  }
-  if (override.fraction >= 0.0 || !was_enabled) {
-    if (trace_generated) {
-      MaterializeTrace(std::nullopt);
-    } else if (override.fraction >= 0.0) {
-      io.Fail("slo override cannot re-tag an explicit trace (no generator "
-              "to rerun); it tags by the \"web\" name prefix only");
-      return;
-    } else {
-      MaterializeTrace(std::move(trace));
-    }
-  }
-  if (!was_enabled) {
-    slo.RegisterMetrics(telemetry->metrics());
-    Push(NextPeriodicFire(clock.now, mix.control_period_s), SimEventKind::kSloTick, 0);
-  }
-}
 
 SimSession::SimSession(std::unique_ptr<State> state) : state_(std::move(state)) {}
 SimSession::SimSession(SimSession&&) noexcept = default;
@@ -649,7 +634,7 @@ ClusterSimResult SimSession::Finish() {
   result.server_crashes = result.counters.server_crashes;
   result.server_recoveries = result.counters.server_recoveries;
   if (s.config.interactive.enabled) {
-    result.interactive_vms = s.interactive_tagged;
+    result.interactive_vms = CountInteractive(s.trace);
     s.slo.Report(registry, result);
   }
   return result;

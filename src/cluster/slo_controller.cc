@@ -23,23 +23,28 @@ double InteractivePhaseS(uint64_t seed, VmId id, double period_s) {
   return period_s * (static_cast<double>(z >> 11) * 0x1.0p-53);
 }
 
+// Open-loop offered load for one web VM at simulated time `now`: millions of
+// aggregate users follow a sinusoidal diurnal curve, phase-shifted per VM.
+double OfferedRps(const InteractiveSloConfig& mix, VmId id, double nominal_cpu,
+                  double now) {
+  const double phase = InteractivePhaseS(mix.seed, id, mix.rate_period_s);
+  const double wave = std::sin(kTwoPi * (now + phase) / mix.rate_period_s);
+  return std::max(0.0,
+                  mix.rate_rps_per_cpu * nominal_cpu *
+                      (1.0 + mix.rate_amplitude * wave));
+}
+
 }  // namespace
 
 bool IsInteractiveSpec(const VmSpec& spec) {
   return spec.name.rfind("web", 0) == 0;
 }
 
-int64_t ApplyInteractiveMix(std::vector<TraceEvent>& trace,
-                            const InteractiveSloConfig& mix) {
+void ApplyInteractiveMix(std::vector<TraceEvent>& trace, const InteractiveSloConfig& mix) {
   Rng rng(mix.seed);
-  int64_t tagged = 0;
   for (size_t i = 0; i < trace.size(); ++i) {
     TraceEvent& event = trace[i];
-    if (IsInteractiveSpec(event.spec)) {
-      ++tagged;
-      continue;
-    }
-    if (event.spec.priority != VmPriority::kLow) {
+    if (IsInteractiveSpec(event.spec) || event.spec.priority != VmPriority::kLow) {
       continue;
     }
     if (!rng.Chance(mix.fraction)) {
@@ -47,9 +52,7 @@ int64_t ApplyInteractiveMix(std::vector<TraceEvent>& trace,
     }
     event.spec.name = "web-" + std::to_string(i);
     event.spec.min_size = event.spec.size * 0.25;
-    ++tagged;
   }
-  return tagged;
 }
 
 int64_t CountInteractive(const std::vector<TraceEvent>& trace) {
@@ -60,15 +63,6 @@ int64_t CountInteractive(const std::vector<TraceEvent>& trace) {
     }
   }
   return tagged;
-}
-
-double OfferedRps(const InteractiveSloConfig& mix, VmId id, double nominal_cpu,
-                  double now) {
-  const double phase = InteractivePhaseS(mix.seed, id, mix.rate_period_s);
-  const double wave = std::sin(kTwoPi * (now + phase) / mix.rate_period_s);
-  return std::max(0.0,
-                  mix.rate_rps_per_cpu * nominal_cpu *
-                      (1.0 + mix.rate_amplitude * wave));
 }
 
 void SloController::RegisterMetrics(MetricsRegistry& registry) {

@@ -19,23 +19,16 @@ namespace defl {
 bool IsInteractiveSpec(const VmSpec& spec);
 
 // Re-tags a seeded fraction of low-priority arrivals as interactive web VMs
-// (deflatable to 25% of nominal, like the catalog's web entries) and returns
-// how many events are interactive afterwards. One Chance() draw per
-// candidate event, in trace order, so the tagged set is a pure function of
-// (trace, seed, fraction) -- regenerated identically on restore. Events
-// already named "web*" (explicit replay traces) count without re-tagging.
-// Arrival times and lifetimes are untouched, so pending queue entries
-// indexing the trace stay valid across a re-tag.
-int64_t ApplyInteractiveMix(std::vector<TraceEvent>& trace,
-                            const InteractiveSloConfig& mix);
+// (deflatable to 25% of nominal, like the catalog's web entries). One
+// Chance() draw per candidate event, in trace order, so the tagged set is a
+// pure function of (trace, seed, fraction) -- regenerated identically on
+// restore. Events already named "web*" stay as they are. Arrival times and
+// lifetimes are untouched, so pending queue entries indexing the trace stay
+// valid across a re-tag.
+void ApplyInteractiveMix(std::vector<TraceEvent>& trace, const InteractiveSloConfig& mix);
 
-// The number of interactive events in a trace taken as given.
+// The number of interactive events in a trace.
 int64_t CountInteractive(const std::vector<TraceEvent>& trace);
-
-// Open-loop offered load for one web VM at simulated time `now`: millions of
-// aggregate users follow a sinusoidal diurnal curve, phase-shifted per VM.
-double OfferedRps(const InteractiveSloConfig& mix, VmId id, double nominal_cpu,
-                  double now);
 
 class SloController {
  public:

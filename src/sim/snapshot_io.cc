@@ -1,10 +1,9 @@
 #include "src/sim/snapshot_io.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "src/common/atomic_file.h"
 
@@ -25,27 +24,23 @@ std::string Hex16(uint64_t v) {
   return buf;
 }
 
-namespace {
-
-void AppendU64Le(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
+void AppendLe(std::string& out, uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
   }
 }
 
-uint64_t LoadU64Le(const char* p) {
+uint64_t LoadLe(const char* p, int width) {
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < width; ++i) {
     v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
   }
   return v;
 }
 
-}  // namespace
-
 SnapshotWriter::SnapshotWriter() {
   bytes_.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  WriteU32(kSnapshotFormatVersion);
+  AppendLe(bytes_, kSnapshotFormatVersion, 4);
 }
 
 void SnapshotWriter::WriteU8(uint8_t v) {
@@ -53,24 +48,12 @@ void SnapshotWriter::WriteU8(uint8_t v) {
   bytes_.push_back(static_cast<char>(v));
 }
 
-void SnapshotWriter::WriteU32(uint32_t v) {
-  assert(!finished_);
-  for (int i = 0; i < 4; ++i) {
-    bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
 void SnapshotWriter::WriteU64(uint64_t v) {
   assert(!finished_);
-  AppendU64Le(bytes_, v);
+  AppendLe(bytes_, v, 8);
 }
 
-void SnapshotWriter::WriteF64(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
+void SnapshotWriter::WriteF64(double v) { WriteU64(std::bit_cast<uint64_t>(v)); }
 
 void SnapshotWriter::WriteString(const std::string& s) {
   WriteU64(s.size());
@@ -81,44 +64,8 @@ void SnapshotWriter::WriteString(const std::string& s) {
 std::string SnapshotWriter::Finish() {
   assert(!finished_);
   finished_ = true;
-  AppendU64Le(bytes_, SnapshotFnv1a64(bytes_.data(), bytes_.size()));
+  AppendLe(bytes_, SnapshotFnv1a64(bytes_.data(), bytes_.size()), 8);
   return std::move(bytes_);
-}
-
-SnapshotReader::SnapshotReader(std::string owned, std::string_view bytes,
-                               size_t payload_begin, size_t payload_end)
-    : owned_(std::move(owned)),
-      bytes_(owned_.empty() ? bytes : std::string_view(owned_)),
-      pos_(payload_begin),
-      payload_end_(payload_end) {}
-
-SnapshotReader::SnapshotReader(SnapshotReader&& other) noexcept
-    : owned_(std::move(other.owned_)),
-      bytes_(owned_.empty() ? other.bytes_ : std::string_view(owned_)),
-      pos_(other.pos_),
-      payload_end_(other.payload_end_),
-      error_(std::move(other.error_)) {}
-
-SnapshotReader& SnapshotReader::operator=(SnapshotReader&& other) noexcept {
-  if (this != &other) {
-    owned_ = std::move(other.owned_);
-    bytes_ = owned_.empty() ? other.bytes_ : std::string_view(owned_);
-    pos_ = other.pos_;
-    payload_end_ = other.payload_end_;
-    error_ = std::move(other.error_);
-  }
-  return *this;
-}
-
-Result<SnapshotReader> SnapshotReader::Open(std::string bytes) {
-  Result<SnapshotReader> opened = OpenView(std::string_view(bytes));
-  if (!opened.ok()) {
-    return Error{opened.error()};
-  }
-  // Re-anchor the validated framing onto storage the reader owns; pos_ and
-  // payload_end_ are offsets, so they carry over unchanged.
-  return SnapshotReader(std::move(bytes), std::string_view(),
-                        opened.value().pos_, opened.value().payload_end_);
 }
 
 Result<SnapshotReader> SnapshotReader::OpenView(std::string_view bytes) {
@@ -131,12 +78,7 @@ Result<SnapshotReader> SnapshotReader::OpenView(std::string_view bytes) {
   if (std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
     return Error{"not a deflation snapshot (bad magic)"};
   }
-  uint32_t version = 0;
-  for (int i = 0; i < 4; ++i) {
-    version |= static_cast<uint32_t>(
-                   static_cast<unsigned char>(bytes[sizeof(kSnapshotMagic) + i]))
-               << (8 * i);
-  }
+  const uint64_t version = LoadLe(bytes.data() + sizeof(kSnapshotMagic), 4);
   if (version != kSnapshotFormatVersion) {
     return Error{"unsupported snapshot format version " + std::to_string(version) +
                  " (this build reads version " +
@@ -144,14 +86,14 @@ Result<SnapshotReader> SnapshotReader::OpenView(std::string_view bytes) {
                  "); re-run with the build that wrote it"};
   }
   const size_t body = bytes.size() - kFooter;
-  const uint64_t expected = LoadU64Le(bytes.data() + body);
+  const uint64_t expected = LoadLe(bytes.data() + body, 8);
   const uint64_t actual = SnapshotFnv1a64(bytes.data(), body);
   if (expected != actual) {
     return Error{"snapshot integrity check failed (footer " + Hex16(expected) +
                  " != content " + Hex16(actual) +
                  "); the file is corrupted or truncated"};
   }
-  return SnapshotReader(std::string(), bytes, kHeader, body);
+  return SnapshotReader(bytes, kHeader, body);
 }
 
 bool SnapshotReader::Need(size_t n) {
@@ -180,34 +122,16 @@ uint8_t SnapshotReader::ReadU8() {
   return static_cast<uint8_t>(bytes_[pos_++]);
 }
 
-uint32_t SnapshotReader::ReadU32() {
-  if (!Need(4)) {
-    return 0;
-  }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
 uint64_t SnapshotReader::ReadU64() {
   if (!Need(8)) {
     return 0;
   }
-  const uint64_t v = LoadU64Le(bytes_.data() + pos_);
+  const uint64_t v = LoadLe(bytes_.data() + pos_, 8);
   pos_ += 8;
   return v;
 }
 
-double SnapshotReader::ReadF64() {
-  const uint64_t bits = ReadU64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+double SnapshotReader::ReadF64() { return std::bit_cast<double>(ReadU64()); }
 
 std::string SnapshotReader::ReadString() {
   const uint64_t size = ReadU64();
@@ -230,16 +154,7 @@ Result<bool> WriteSnapshotFile(const std::string& bytes, const std::string& path
 }
 
 Result<std::string> ReadSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error{"cannot open snapshot file " + path};
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Error{"read error on snapshot file " + path};
-  }
-  return std::move(buffer).str();
+  return ReadFileToString(path);
 }
 
 }  // namespace defl

@@ -28,6 +28,10 @@ uint64_t SnapshotFnv1a64(const char* data, size_t size);
 // A 64-bit digest as 16 lowercase hex digits, the spelling every report
 // footer and integrity error uses.
 std::string Hex16(uint64_t v);
+// The low `width` bytes of `v`, least significant first: the byte order of
+// every snapshot and write-ahead-journal integer.
+void AppendLe(std::string& out, uint64_t v, int width);
+uint64_t LoadLe(const char* p, int width);
 
 inline constexpr char kSnapshotMagic[8] = {'D', 'E', 'F', 'L', 'S', 'N', 'A', 'P'};
 // Version history:
@@ -45,7 +49,6 @@ class SnapshotWriter {
   SnapshotWriter();
 
   void WriteU8(uint8_t v);
-  void WriteU32(uint32_t v);
   void WriteU64(uint64_t v);
   void WriteI64(int64_t v) { WriteU64(static_cast<uint64_t>(v)); }
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
@@ -62,34 +65,24 @@ class SnapshotWriter {
   bool finished_ = false;
 };
 
-// Sequential typed decoder over a sealed blob. Open() verifies the magic,
-// the version, and the integrity footer up front, so the typed reads only
-// have to guard against logical truncation (reads past the payload).
+// Sequential typed decoder over a sealed blob. OpenView() verifies the
+// magic, the version, and the integrity footer up front, so the typed reads
+// only have to guard against logical truncation (reads past the payload).
 //
-// Ownership comes in two flavours: Open() takes the bytes by value and owns
-// them for the reader's lifetime; OpenView() decodes IN PLACE over memory the
-// caller keeps alive and never mutates. The view form is what makes restores
-// from one shared const blob cheap -- N concurrent readers over the same
-// string perform zero copies of it (DESIGN.md §15).
+// The reader decodes IN PLACE over memory the caller keeps alive and never
+// mutates: that is what makes restores from one shared const blob cheap --
+// N concurrent readers over the same string perform zero copies of it
+// (DESIGN.md §15).
 class SnapshotReader {
  public:
   // Validates framing; the reader is positioned at the start of the payload.
-  static Result<SnapshotReader> Open(std::string bytes);
-  // As Open(), but non-owning: `bytes` must outlive the reader and must not
-  // change while any reader views it (readers never write through it).
+  // `bytes` must outlive the reader and must not change while any reader
+  // views it (readers never write through it).
   static Result<SnapshotReader> OpenView(std::string_view bytes);
-
-  // Moves must rebind the view when the reader owns its storage (the string
-  // buffer can live inside the object for small strings).
-  SnapshotReader(SnapshotReader&& other) noexcept;
-  SnapshotReader& operator=(SnapshotReader&& other) noexcept;
-  SnapshotReader(const SnapshotReader&) = delete;
-  SnapshotReader& operator=(const SnapshotReader&) = delete;
 
   // Typed reads. After any failure ok() turns false and every later read
   // returns a zero value; callers check ok()/error() once per section.
   uint8_t ReadU8();
-  uint32_t ReadU32();
   uint64_t ReadU64();
   int64_t ReadI64() { return static_cast<int64_t>(ReadU64()); }
   bool ReadBool() { return ReadU8() != 0; }
@@ -109,13 +102,10 @@ class SnapshotReader {
   size_t Remaining() const { return payload_end_ - pos_; }
 
  private:
-  SnapshotReader(std::string owned, std::string_view bytes, size_t payload_begin,
-                 size_t payload_end);
+  SnapshotReader(std::string_view bytes, size_t payload_begin, size_t payload_end)
+      : bytes_(bytes), pos_(payload_begin), payload_end_(payload_end) {}
   bool Need(size_t n);
 
-  // Backing storage when the reader owns the blob (Open); empty for views.
-  // `bytes_` always points at the blob being decoded.
-  std::string owned_;
   std::string_view bytes_;
   size_t pos_ = 0;
   size_t payload_end_ = 0;

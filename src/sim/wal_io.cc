@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -12,47 +13,6 @@
 
 namespace defl {
 namespace {
-
-void AppendU32Le(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64Le(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendF64Le(std::string& out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64Le(out, bits);
-}
-
-uint32_t LoadU32Le(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t LoadU64Le(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-double LoadF64Le(const char* p) {
-  const uint64_t bits = LoadU64Le(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 constexpr size_t kHeaderBytes = sizeof(kWalMagic) + 4;
 constexpr size_t kFrameOverhead = 4 + 1 + 8;  // length + kind + checksum
@@ -76,17 +36,17 @@ std::string EncodePayload(const WalRecord& record) {
   std::string payload;
   switch (record.kind) {
     case WalRecordKind::kStepUntil:
-      AppendF64Le(payload, record.t_s);
+      AppendLe(payload, std::bit_cast<uint64_t>(record.t_s), 8);
       break;
     case WalRecordKind::kStepEventsTo:
-      AppendU64Le(payload, static_cast<uint64_t>(record.target_events));
+      AppendLe(payload, static_cast<uint64_t>(record.target_events), 8);
       break;
     case WalRecordKind::kCheckpoint:
-      AppendU64Le(payload, record.checkpoint_id);
-      AppendF64Le(payload, record.sim_time_s);
-      AppendU64Le(payload, static_cast<uint64_t>(record.events_executed));
-      AppendU64Le(payload, record.snapshot_fnv);
-      AppendU64Le(payload, record.snapshot_size);
+      AppendLe(payload, record.checkpoint_id, 8);
+      AppendLe(payload, std::bit_cast<uint64_t>(record.sim_time_s), 8);
+      AppendLe(payload, static_cast<uint64_t>(record.events_executed), 8);
+      AppendLe(payload, record.snapshot_fnv, 8);
+      AppendLe(payload, record.snapshot_size, 8);
       break;
   }
   return payload;
@@ -146,16 +106,16 @@ std::string EncodeWalRecord(const WalRecord& record) {
   const std::string payload = EncodePayload(record);
   std::string bytes;
   bytes.reserve(kFrameOverhead + payload.size());
-  AppendU32Le(bytes, static_cast<uint32_t>(payload.size()));
+  AppendLe(bytes, static_cast<uint32_t>(payload.size()), 4);
   bytes.push_back(static_cast<char>(record.kind));
   bytes.append(payload);
-  AppendU64Le(bytes, SnapshotFnv1a64(bytes.data(), bytes.size()));
+  AppendLe(bytes, SnapshotFnv1a64(bytes.data(), bytes.size()), 8);
   return bytes;
 }
 
 std::string EncodeWalHeader() {
   std::string bytes(kWalMagic, sizeof(kWalMagic));
-  AppendU32Le(bytes, kWalFormatVersion);
+  AppendLe(bytes, kWalFormatVersion, 4);
   return bytes;
 }
 
@@ -167,7 +127,7 @@ Result<WalReadResult> DecodeWal(const std::string& bytes) {
   if (std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
     return Error{"not a deflation WAL (bad magic)"};
   }
-  const uint32_t version = LoadU32Le(bytes.data() + sizeof(kWalMagic));
+  const uint64_t version = LoadLe(bytes.data() + sizeof(kWalMagic), 4);
   if (version != kWalFormatVersion) {
     return Error{"unsupported WAL format version " + std::to_string(version) +
                  " (this build reads version " +
@@ -186,13 +146,13 @@ Result<WalReadResult> DecodeWal(const std::string& bytes) {
     if (bytes.size() - pos < kFrameOverhead) {
       return torn("short record frame");
     }
-    const uint32_t payload_len = LoadU32Le(bytes.data() + pos);
+    const uint32_t payload_len = static_cast<uint32_t>(LoadLe(bytes.data() + pos, 4));
     const uint8_t kind_byte = static_cast<uint8_t>(bytes[pos + 4]);
     if (bytes.size() - pos < kFrameOverhead + payload_len) {
       return torn("record frame runs past end of file");
     }
     const size_t body = 4 + 1 + payload_len;
-    const uint64_t expected = LoadU64Le(bytes.data() + pos + body);
+    const uint64_t expected = LoadLe(bytes.data() + pos + body, 8);
     const uint64_t actual = SnapshotFnv1a64(bytes.data() + pos, body);
     if (expected != actual) {
       return torn("record checksum mismatch");
@@ -210,17 +170,17 @@ Result<WalReadResult> DecodeWal(const std::string& bytes) {
     record.kind = kind;
     switch (kind) {
       case WalRecordKind::kStepUntil:
-        record.t_s = LoadF64Le(p);
+        record.t_s = std::bit_cast<double>(LoadLe(p, 8));
         break;
       case WalRecordKind::kStepEventsTo:
-        record.target_events = static_cast<int64_t>(LoadU64Le(p));
+        record.target_events = static_cast<int64_t>(LoadLe(p, 8));
         break;
       case WalRecordKind::kCheckpoint:
-        record.checkpoint_id = LoadU64Le(p);
-        record.sim_time_s = LoadF64Le(p + 8);
-        record.events_executed = static_cast<int64_t>(LoadU64Le(p + 16));
-        record.snapshot_fnv = LoadU64Le(p + 24);
-        record.snapshot_size = LoadU64Le(p + 32);
+        record.checkpoint_id = LoadLe(p, 8);
+        record.sim_time_s = std::bit_cast<double>(LoadLe(p + 8, 8));
+        record.events_executed = static_cast<int64_t>(LoadLe(p + 16, 8));
+        record.snapshot_fnv = LoadLe(p + 24, 8);
+        record.snapshot_size = LoadLe(p + 32, 8);
         break;
     }
     result.records.push_back(record);
