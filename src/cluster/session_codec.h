@@ -2,9 +2,10 @@
 // section of a snapshot is spelled once: one Transfer(io, x) template lists
 // its fields in format order and serves both directions. SnapshotEncoder
 // writes through a SnapshotWriter and SnapshotDecoder reads through a
-// SnapshotReader, with the same typed calls. Transfer takes `T&` where T is
-// the section type or its const form, so decoding fills a value in place and
-// encoding reads one without copying it.
+// SnapshotReader, with the same typed calls. Transfer takes the value by
+// reference (const allowed when encoding), so decoding fills it in place and
+// encoding reads it without a copy; the trace and telemetry sections encode
+// through views of the live session.
 //
 // The decoder trusts no byte: a count is bounded by the payload left (so a
 // crafted count cannot drive a huge loop or allocation), every enum byte is
@@ -18,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
