@@ -284,11 +284,11 @@ struct SimSession::State {
 
   // Canonical queue image: sorted by (when, seq), independent of the heap's
   // internal array layout, so identical logical states snapshot to identical
-  // bytes. Strictly-future VM arrivals are elided: arrival i was pushed at
-  // Open with when = trace[i].arrival_s and seq = |fault timeline| + i and is
-  // never re-pushed, so the restore side rebuilds them from the trace.
-  // Arrivals AT `now` (an event-boundary snapshot can leave same-instant
-  // stragglers unexecuted) are the only ones written out.
+  // bytes. Strictly-future VM arrivals are elided: an arrival is queued once,
+  // at Open, with keys that follow from the trace (QueueArrivals), so the
+  // restore side rebuilds them. Arrivals AT `now` (an event-boundary
+  // snapshot can leave same-instant stragglers unexecuted) are the only ones
+  // written out.
   std::vector<QueueEntry> CanonicalQueue() const {
     std::vector<QueueEntry> entries;
     entries.reserve(queue.size());
@@ -306,9 +306,7 @@ struct SimSession::State {
   // Takes a snapshot's queue image, bounding each payload so a logically
   // inconsistent snapshot cannot index out of range later (the checksum
   // only protects against corruption), then rebuilds the elided
-  // strictly-future arrivals (see CanonicalQueue): arrival i re-enters with
-  // its Open-time sequence number, |fault timeline| + i, so the same-time
-  // tie-break order is bit-exact.
+  // strictly-future arrivals (see CanonicalQueue).
   void RestoreQueue(SnapshotDecoder& io, std::vector<QueueEntry> entries) {
     for (const QueueEntry& entry : entries) {
       bool payload_ok = true;
@@ -345,11 +343,19 @@ struct SimSession::State {
       }
     }
     queue = std::move(entries);
-    const int64_t arrival_seq_base = static_cast<int64_t>(fault_events.size());
+    QueueArrivals(clock.now);
+  }
+
+  // Queues arrival i for every trace event after `after`, with
+  // seq = |fault timeline| + i: the number Open gives it, right after the
+  // fault timeline, and so the one a restore must give an elided arrival for
+  // the same-time tie-break order to be bit-exact. Then re-heaps the queue;
+  // its pop order depends only on the (when, seq) keys.
+  void QueueArrivals(double after) {
+    const int64_t seq_base = static_cast<int64_t>(fault_events.size());
     for (size_t i = 0; i < trace.size(); ++i) {
-      if (trace[i].arrival_s > clock.now) {
-        queue.push_back(QueueEntry{trace[i].arrival_s,
-                                   arrival_seq_base + static_cast<int64_t>(i),
+      if (trace[i].arrival_s > after) {
+        queue.push_back(QueueEntry{trace[i].arrival_s, seq_base + static_cast<int64_t>(i),
                                    SimEventKind::kVmArrival, static_cast<int64_t>(i)});
       }
     }
@@ -536,10 +542,8 @@ Result<SimSession> SimSession::Open(const ClusterSimConfig& config) {
     state->Push(state->fault_events[i].time_s, SimEventKind::kFaultEvent,
                 static_cast<int64_t>(i));
   }
-  for (size_t i = 0; i < state->trace.size(); ++i) {
-    state->Push(state->trace[i].arrival_s, SimEventKind::kVmArrival,
-                static_cast<int64_t>(i));
-  }
+  state->QueueArrivals(-std::numeric_limits<double>::infinity());
+  state->clock.next_seq += static_cast<int64_t>(state->trace.size());
   state->Push(config.sample_period_s, SimEventKind::kSampleTick, 0);
   if (config.reinflate_period_s > 0.0) {
     state->Push(config.reinflate_period_s, SimEventKind::kReinflateTick, 0);
