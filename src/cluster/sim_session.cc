@@ -420,31 +420,32 @@ struct SimSession::State {
   // serving here appends the slo/* metrics to the registry tail -- the same
   // position BuildCore gives them -- and re-tags the regenerated trace, so
   // only future arrivals change; already-placed VMs keep their specs.
-  void ApplySloOverride(SnapshotDecoder& io, const RestoreOptions::SloOverride& override) {
+  void ApplySloOverride(SnapshotDecoder& io,
+                        const RestoreOptions::SloOverride& slo_override) {
     const bool was_enabled = config.interactive.enabled;
     InteractiveSloConfig& mix = config.interactive;
     mix.enabled = true;
-    if (override.slo_p99_ms >= 0.0) {
-      mix.slo_p99_ms = override.slo_p99_ms;
+    if (slo_override.slo_p99_ms >= 0.0) {
+      mix.slo_p99_ms = slo_override.slo_p99_ms;
     }
-    if (override.policy >= 0) {
-      mix.slo_aware = override.policy != 0;
+    if (slo_override.policy >= 0) {
+      mix.slo_aware = slo_override.policy != 0;
     }
-    if (override.control_period_s >= 0.0) {
-      mix.control_period_s = override.control_period_s;
+    if (slo_override.control_period_s >= 0.0) {
+      mix.control_period_s = slo_override.control_period_s;
     }
-    if (override.fraction >= 0.0) {
-      mix.fraction = override.fraction;
+    if (slo_override.fraction >= 0.0) {
+      mix.fraction = slo_override.fraction;
     }
     const Result<bool> still_valid = ValidateConfig(config);
     if (!still_valid.ok()) {
       io.Fail("slo override yields an invalid config: " + still_valid.error());
       return;
     }
-    if (override.fraction >= 0.0 || !was_enabled) {
+    if (slo_override.fraction >= 0.0 || !was_enabled) {
       if (trace_generated) {
         MaterializeTrace(std::nullopt);
-      } else if (override.fraction >= 0.0) {
+      } else if (slo_override.fraction >= 0.0) {
         io.Fail("slo override cannot re-tag an explicit trace (no generator "
                 "to rerun); it tags by the \"web\" name prefix only");
         return;

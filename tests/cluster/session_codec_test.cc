@@ -86,7 +86,8 @@ ClusterSimConfig PopulatedConfig() {
   ClusterSimConfig config;
   config.num_servers = 12;
   config.trace.seed = 99;
-  config.trace.catalog.push_back(VmCatalogEntry{"web", ResourceVector(2.0, 4096.0), 0.25, 3.0});
+  config.trace.catalog.push_back(
+      VmCatalogEntry{"web", ResourceVector(2.0, 4096.0), 0.25, 3.0});
   config.cluster.placement = PlacementPolicy::kTwoChoices;
   config.cluster.strategy = ReclamationStrategy::kPreemptionOnly;
   config.cluster.controller.mode = DeflationMode::kBalloonLevel;
@@ -324,7 +325,8 @@ TEST(SessionCodecTest, ConcurrentDecodesOfOneBlobAgree) {
   ClusterSimConfig config;
   config.num_servers = 6;
   config.trace.duration_s = 2.0 * 3600.0;
-  config.trace = WithTargetLoad(config.trace, 1.5, config.num_servers, config.server_capacity);
+  config.trace =
+      WithTargetLoad(config.trace, 1.5, config.num_servers, config.server_capacity);
   config.reinflate_period_s = 600.0;
   TelemetryContext telemetry;
   telemetry.trace().set_enabled(true);
@@ -338,7 +340,8 @@ TEST(SessionCodecTest, ConcurrentDecodesOfOneBlobAgree) {
   std::vector<std::thread> threads;
   for (std::string& out : again) {
     threads.emplace_back([&blob, &out] {
-      Result<SimSession> child = SimSession::RestoreView(blob, SimSession::RestoreOptions());
+      Result<SimSession> child =
+          SimSession::RestoreView(blob, SimSession::RestoreOptions());
       if (child.ok()) {
         out = child.value().SnapshotBytes();
       }
