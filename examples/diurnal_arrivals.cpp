@@ -4,11 +4,11 @@
 // (src/sim/arrival_gen.h, Lewis-Shedler thinning). Peak-hour pressure is
 // where deflation earns its keep: the cluster absorbs the crest by
 // squeezing transient VMs instead of preempting them, and reinflates in the
-// trough. Equivalent CLI run:
+// trough. The deflation run from the CLI, with the same workload as a spec
+// file:
 //
-//   deflation_sim --servers=40 --duration-h=24 --diurnal \
-//     --diurnal-amplitude=0.7 --burst-rate-per-h=1 --burst-multiplier=3 \
-//     --reinflate-period-s=600
+//   deflation_sim --servers=40 --workload=examples/diurnal.workload
+//       --reinflate-period-s=600
 #include <cstdio>
 
 #include "src/cluster/sim_session.h"

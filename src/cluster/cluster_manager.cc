@@ -7,20 +7,6 @@
 
 namespace defl {
 
-const char* ServerHealthName(ServerHealth health) {
-  switch (health) {
-    case ServerHealth::kHealthy:
-      return "healthy";
-    case ServerHealth::kDegraded:
-      return "degraded";
-    case ServerHealth::kDown:
-      return "down";
-    case ServerHealth::kRecovering:
-      return "recovering";
-  }
-  return "?";
-}
-
 ClusterManager::ClusterManager(int num_servers, const ResourceVector& server_capacity,
                                const ClusterConfig& config, TelemetryContext* telemetry)
     : config_(config), rng_(config.seed) {

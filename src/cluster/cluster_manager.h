@@ -35,8 +35,6 @@ namespace defl {
 // the manager promotes it (MarkHealthy).
 enum class ServerHealth { kHealthy, kDegraded, kDown, kRecovering };
 
-const char* ServerHealthName(ServerHealth health);
-
 enum class ReclamationStrategy {
   kDeflation,       // proportional cascade deflation, preempt below minimums
   kPreemptionOnly,  // the conventional transient-VM baseline

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/atomic_file.h"
+#include "src/common/cadence.h"
 #include "src/common/crash_point.h"
 #include "src/sim/snapshot_io.h"
 
@@ -105,7 +106,7 @@ Result<SimSession> RestoreNewestCheckpoint(
       skipped += "\n  " + file.path + ": " + framed.error();
       continue;
     }
-    Result<SimSession> session = SimSession::RestoreBytes(bytes.value(), options);
+    Result<SimSession> session = SimSession::RestoreView(bytes.value(), options);
     if (session.ok()) {
       return session;
     }
@@ -192,6 +193,11 @@ bool DurableSession::CanRecover(const std::string& dir) {
 
 Result<DurableSession> DurableSession::Create(const ClusterSimConfig& config,
                                               const Options& options) {
+  const Result<bool> cadence = CheckCadence(
+      "checkpoint cadence", options.checkpoint_every_s, config.trace.duration_s);
+  if (!cadence.ok()) {
+    return Error{cadence.error()};
+  }
   std::error_code ec;
   fs::create_directories(options.dir, ec);
   if (ec) {
@@ -229,6 +235,13 @@ Result<DurableSession> DurableSession::Recover(const Options& options) {
   Result<SimSession> session = RestoreNewestCheckpoint(options.dir, wal, restore);
   if (!session.ok()) {
     return Error{"cannot recover " + options.dir + ": " + session.error()};
+  }
+  // Replay checkpoints at every cadence boundary it crosses, so the cadence
+  // is bounded before the first replayed command.
+  const Result<bool> cadence = CheckCadence(
+      "checkpoint cadence", options.checkpoint_every_s, session.value().duration_s());
+  if (!cadence.ok()) {
+    return Error{"cannot recover " + options.dir + ": " + cadence.error()};
   }
 
   // Reattach the journal, truncating any torn tail first: the next append
@@ -349,7 +362,6 @@ Result<bool> DurableSession::CheckpointInternal(bool forced) {
     const std::chrono::duration<double> since =
         std::chrono::steady_clock::now() - last_ckpt_wall_;
     if (since.count() < options_.min_checkpoint_wall_s) {
-      ++checkpoints_gated_;
       return true;
     }
   }

@@ -38,6 +38,8 @@ class DurableSession {
     std::string dir;  // run directory (created if missing)
     // Auto-checkpoint every N simulated seconds during StepUntil/Finish.
     // 0 keeps only the genesis and final checkpoints (plus explicit calls).
+    // Create and Recover refuse a cadence with more than kMaxCadenceTicks
+    // boundaries over the run's horizon.
     double checkpoint_every_s = 3600.0;
     // Keep the newest K checkpoint snapshots; older ones are unlinked once a
     // newer one is durably in place. Minimum 1.
@@ -86,9 +88,6 @@ class DurableSession {
   // a no-op (deduped), so restarts don't accrete identical snapshots.
   Result<bool> Checkpoint();
 
-  // Checkpoints actually skipped by the min_checkpoint_wall_s gate.
-  int64_t checkpoints_gated() const { return checkpoints_gated_; }
-
   // Journals a step to the horizon, runs it (with cadence checkpoints),
   // cuts the final checkpoint, and derives the result.
   Result<ClusterSimResult> Finish();
@@ -120,7 +119,6 @@ class DurableSession {
   double last_ckpt_time_s_ = -1.0;
   int64_t last_ckpt_events_ = -1;
   int64_t checkpoints_written_ = 0;
-  int64_t checkpoints_gated_ = 0;
   // Wall-clock instant the last checkpoint (or construction) completed,
   // for the min_checkpoint_wall_s gate.
   std::chrono::steady_clock::time_point last_ckpt_wall_;

@@ -126,9 +126,6 @@ class FleetView : public ServerObserver {
   const double* preemptible_col(ResourceKind k) const {
     return preemptible_[static_cast<size_t>(k)].data();
   }
-  const double* nominal_col(ResourceKind k) const {
-    return nominal_[static_cast<size_t>(k)].data();
-  }
   // The column added to free_col(k) to form a row's availability under
   // `mode`: deflatable_col(k), preemptible_col(k), or null for kFreeOnly.
   const double* extra_col(ResourceKind k, AvailabilityMode mode) const {

@@ -691,16 +691,11 @@ Result<SimSession> SimSession::Restore(const std::string& path,
   if (!bytes.ok()) {
     return Error{bytes.error()};
   }
-  Result<SimSession> session = RestoreBytes(bytes.value(), options);
+  Result<SimSession> session = RestoreView(bytes.value(), options);
   if (!session.ok()) {
     return Error{"cannot restore " + path + ": " + session.error()};
   }
   return session;
-}
-
-Result<SimSession> SimSession::RestoreBytes(const std::string& bytes,
-                                            const RestoreOptions& options) {
-  return RestoreView(std::string_view(bytes), options);
 }
 
 Result<SimSession> SimSession::RestoreView(std::string_view bytes,

@@ -104,15 +104,11 @@ class SimSession {
   static Result<SimSession> Restore(const std::string& path) {
     return Restore(path, RestoreOptions());
   }
-  static Result<SimSession> RestoreBytes(const std::string& bytes,
-                                         const RestoreOptions& options);
-  static Result<SimSession> RestoreBytes(const std::string& bytes) {
-    return RestoreBytes(bytes, RestoreOptions());
-  }
-  // Zero-copy restore over caller-kept memory: the blob is only read during
-  // the call and never written, so any number of sessions -- including
-  // concurrently, from different threads -- can fork off one shared const
-  // blob (the what-if service's copy-on-restore children, DESIGN.md §15).
+  // Rebuilds a session from SnapshotBytes() output, zero-copy over
+  // caller-kept memory: the blob is only read during the call and never
+  // written, so any number of sessions -- including concurrently, from
+  // different threads -- can fork off one shared const blob (the what-if
+  // service's copy-on-restore children, DESIGN.md §15).
   static Result<SimSession> RestoreView(std::string_view bytes,
                                         const RestoreOptions& options);
 

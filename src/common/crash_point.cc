@@ -59,6 +59,4 @@ void ArmCrashPointForTest(const char* name, int64_t countdown) {
   arming.armed = countdown > 0;
 }
 
-void DisarmCrashPointsForTest() { GetArming().armed = false; }
-
 }  // namespace defl

@@ -41,9 +41,6 @@ inline void CrashPoint(const char* name) {
 // children between fork() and the code under test.
 void ArmCrashPointForTest(const char* name, int64_t countdown);
 
-// Disarms everything (tests that reuse a process).
-void DisarmCrashPointsForTest();
-
 }  // namespace defl
 
 #endif  // SRC_COMMON_CRASH_POINT_H_

@@ -1,6 +1,7 @@
 #include "src/common/flags.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -56,8 +57,7 @@ void FlagParser::AddDouble(const std::string& name, const std::string& help,
   flags_.push_back(Flag{name, help, Kind::kDouble, out, std::to_string(*out)});
 }
 
-void FlagParser::AddInt(const std::string& name, const std::string& help,
-                        int64_t* out) {
+void FlagParser::AddInt(const std::string& name, const std::string& help, int* out) {
   flags_.push_back(Flag{name, help, Kind::kInt, out, std::to_string(*out)});
 }
 
@@ -85,11 +85,19 @@ Result<bool> FlagParser::Assign(Flag& flag, const std::string& value) {
         return Error{"--" + flag.name + ": bad number '" + value + "'"};
       }
       return true;
-    case Kind::kInt:
-      if (!ParseInt64(value, static_cast<int64_t*>(flag.out))) {
+    case Kind::kInt: {
+      int64_t wide = 0;
+      if (!ParseInt64(value, &wide)) {
         return Error{"--" + flag.name + ": bad integer '" + value + "'"};
       }
+      if (wide < std::numeric_limits<int>::min() ||
+          wide > std::numeric_limits<int>::max()) {
+        return Error{"--" + flag.name + ": " + value + " is out of range (max " +
+                     std::to_string(std::numeric_limits<int>::max()) + ")"};
+      }
+      *static_cast<int*>(flag.out) = static_cast<int>(wide);
       return true;
+    }
     case Kind::kBool:
       if (value == "true" || value == "1") {
         *static_cast<bool*>(flag.out) = true;

@@ -22,7 +22,8 @@ class FlagParser {
   // current (default) value shown in the usage text.
   void AddString(const std::string& name, const std::string& help, std::string* out);
   void AddDouble(const std::string& name, const std::string& help, double* out);
-  void AddInt(const std::string& name, const std::string& help, int64_t* out);
+  // A value outside int's range is an error naming the flag, never narrowed.
+  void AddInt(const std::string& name, const std::string& help, int* out);
   // Bools: `--name` sets true, `--name=false/true` sets explicitly.
   void AddBool(const std::string& name, const std::string& help, bool* out);
 
@@ -35,8 +36,8 @@ class FlagParser {
 
   // True when the flag appeared on the last parsed command line (with either
   // separator style). Lets a tool distinguish a default value from an
-  // explicit one -- e.g. to reject deprecated aliases alongside their
-  // replacement, or to record flag provenance. False before Parse().
+  // explicit one -- e.g. an empty `--workload=` from no --workload at all.
+  // False before Parse().
   bool WasSet(const std::string& name) const;
 
   std::string Usage() const;

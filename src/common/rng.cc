@@ -63,8 +63,6 @@ double Rng::Exponential(double rate) {
   return -std::log(1.0 - NextDouble()) / rate;
 }
 
-double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
-
 double Rng::Normal(double mean, double stddev) {
   const double u1 = 1.0 - NextDouble();  // (0, 1]
   const double u2 = NextDouble();

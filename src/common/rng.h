@@ -34,9 +34,6 @@ class Rng {
   // Exponential with the given rate (mean 1/rate). Requires rate > 0.
   double Exponential(double rate);
 
-  // Lognormal: exp(N(mu, sigma^2)).
-  double LogNormal(double mu, double sigma);
-
   // Standard normal via Box-Muller (no cached spare; stateless per call).
   double Normal(double mean, double stddev);
 

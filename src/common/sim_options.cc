@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/common/cadence.h"
 #include "src/common/text_parse.h"
 
 namespace defl {
@@ -99,16 +100,14 @@ Result<bool> AssignWorkloadKey(WorkloadSpec& spec, const std::string& key,
   return Error{"unknown key '" + key + "'"};
 }
 
-// "source:line: 'key'" for file-built settings, "--key" for flag-built ones
-// -- so spec-file validation errors point at the offending line while the
-// deprecated flag aliases keep their historical wording.
+// "source:line: 'key'", so validation errors point at the offending line
+// ("source: 'key'" for a key the spec left at its default).
 std::string KeyWhere(const WorkloadSpec& spec, const std::string& source,
                      const std::string& key) {
   const auto it = spec.provenance.find(key);
-  if (it != spec.provenance.end() && it->second > 0) {
-    return source + ":" + std::to_string(it->second) + ": '" + key + "'";
-  }
-  return "--" + key;
+  const std::string line =
+      it == spec.provenance.end() ? "" : ":" + std::to_string(it->second);
+  return source + line + ": '" + key + "'";
 }
 
 }  // namespace
@@ -119,8 +118,6 @@ SimOptionsParser::SimOptionsParser(std::string program_description)
                     &common_.metrics_out);
   parser_.AddString("trace-out", "write the deflation event trace to this JSONL file",
                     &common_.trace_out);
-  parser_.AddString("fault-plan", "inject failures from this fault plan file",
-                    &common_.fault_plan);
 }
 
 Result<std::vector<std::string>> SimOptionsParser::Parse(int argc,
@@ -244,6 +241,13 @@ Result<bool> ValidateWorkloadSpec(const WorkloadSpec& spec,
   }
   if (spec.slo_period_s <= 0.0) {
     return Error{where("slo-period-s") + " must be positive"};
+  }
+  // SLO control ticks over the run (none without the interactive mix).
+  const Result<bool> slo_ticks =
+      CheckCadence(where("slo-period-s"), spec.interactive ? spec.slo_period_s : 0.0,
+                   spec.duration_h * 3600.0);
+  if (!slo_ticks.ok()) {
+    return slo_ticks;
   }
   if (spec.rate_rps_per_cpu < 0.0) {
     return Error{where("rate-rps-per-cpu") + " must be non-negative"};

@@ -21,7 +21,6 @@ namespace defl {
 struct SimCommonOptions {
   std::string metrics_out;   // write the metrics registry to this JSON file
   std::string trace_out;     // write the deflation event trace to this JSONL file
-  std::string fault_plan;    // inject failures from this fault plan file
 };
 
 class SimOptionsParser {
@@ -54,12 +53,10 @@ Result<bool> RejectFlagCombination(const std::string& flag_a, bool a_set,
 // WorkloadSpec: the declarative workload surface of the simulation tools.
 //
 // What a run simulates -- offered load, trace replay, the diurnal arrival
-// model, the interactive-serving mix -- used to be smeared across a dozen
-// mutually-exclusive deflation_sim flags. A WorkloadSpec consolidates it:
-// one file (`--workload=interactive.workload`), one strict total parser, and
-// one validator that owns every pairwise-exclusion rule with line-numbered
-// messages. The old flags survive as deprecated aliases that build the same
-// spec (provenance line 0), so their errors keep the `--flag` wording.
+// model, the interactive-serving mix -- is one file
+// (`deflation_sim --workload=interactive.workload`), one strict total parser,
+// and one validator that owns every pairwise-exclusion rule with
+// line-numbered messages.
 //
 // Grammar (one setting per line, read by ReadKeyValues in text_parse.h, the
 // same reader sweep grids use):
@@ -76,8 +73,8 @@ Result<bool> RejectFlagCombination(const std::string& flag_a, bool a_set,
 // unknown keys, duplicate keys, and malformed values are line-numbered
 // errors. Numbers are finite (`inf` and `nan` are malformed). Booleans
 // accept on/off/true/false. The struct is deliberately cluster-agnostic (plain
-// scalars, hours not seconds where the flags used hours): the tool layer
-// maps it onto ClusterSimConfig.
+// scalars, hours for horizons and cycles): the tool layer maps it onto
+// ClusterSimConfig.
 struct WorkloadSpec {
   double load = 1.6;             // offered CPU load as a fraction of capacity
   double duration_h = 12.0;
@@ -104,9 +101,8 @@ struct WorkloadSpec {
   double rate_rps_per_cpu = 30.0;
   double rate_amplitude = 0.6;
   double rate_period_h = 24.0;
-  // Where each explicitly-set key came from: key -> 1-based source line for
-  // spec files, 0 for flag-built specs. Validation words its errors from
-  // this ("spec.workload:7: ..." vs "--diurnal-amplitude ...").
+  // Where each explicitly-set key came from: key -> 1-based source line.
+  // Validation words its errors from this ("spec.workload:7: 'load' ...").
   std::map<std::string, int> provenance;
 
   bool Has(const std::string& key) const { return provenance.count(key) != 0; }
@@ -115,16 +111,15 @@ struct WorkloadSpec {
 // Strict total parser for the spec grammar above. Any malformed line, value,
 // unknown key, or duplicate key is a clean `source:line:` error -- never a
 // crash or a silently-defaulted setting. Does NOT validate cross-key rules;
-// callers run ValidateWorkloadSpec next (tool drivers may set provenance-0
-// keys in between).
+// callers run ValidateWorkloadSpec next.
 Result<WorkloadSpec> ParseWorkloadSpec(const std::string& text,
                                        const std::string& source_name);
 
-// Every cross-key rule the tools used to enforce flag-by-flag: pairwise
-// exclusions (trace replay vs the arrival generator), gating (arrival knobs
-// require `diurnal`, SLO knobs require `interactive`), and range checks.
-// Messages cite the offending key's source line for file-built specs and
-// the `--flag` spelling for flag-built ones.
+// Every cross-key rule: pairwise exclusions (trace replay vs the arrival
+// generator), gating (arrival knobs require `diurnal`, SLO knobs require
+// `interactive`), range checks, and the SLO tick count (at most
+// kMaxCadenceTicks over duration-h). Messages cite the offending key's
+// source line.
 Result<bool> ValidateWorkloadSpec(const WorkloadSpec& spec,
                                   const std::string& source_name);
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/common/cadence.h"
 #include "src/common/text_parse.h"
 
 namespace defl {
@@ -258,11 +259,14 @@ Result<WhatIfQuery> ParseQuery(const std::string& line) {
           return Error{"slo query period must be > 0 (got " +
                        std::to_string(query.slo_period_s) + ")"};
         }
+        // Bounds the work one query line can demand of the service. Without
+        // period= the snapshot's own control period applies, so only period=
+        // can raise the count past what the snapshot's run already does.
         const double ticks = query.hours * 3600.0 / query.slo_period_s;
-        if (!(ticks <= static_cast<double>(kMaxSloTicks))) {  // also rejects NaN
+        if (!(ticks <= static_cast<double>(kMaxCadenceTicks))) {  // also rejects NaN
           return Error{"slo query hours=" + fields.at("hours") + " with period=" +
                        fields.at("period") + " asks for " + std::to_string(ticks) +
-                       " control ticks (max " + std::to_string(kMaxSloTicks) +
+                       " control ticks (max " + std::to_string(kMaxCadenceTicks) +
                        "); raise period= or lower hours="};
         }
       }

@@ -36,12 +36,6 @@ enum class QueryKind {
 
 const char* QueryKindName(QueryKind kind);
 
-// Most SLO control ticks one `slo` query may ask for: hours * 3600 / period.
-// Bounds the work a single query line can demand of the service. Without
-// period= the snapshot's own control period applies, so only period= can
-// raise the count past what the snapshot's run already does.
-constexpr int64_t kMaxSloTicks = 100000;
-
 // Most launches one query may ask for: a `place` query's count= or an
 // `overcommit` query's limit=. A launch onto a full server deflates every
 // co-tenant, so a query's work grows with the square of its launches.

@@ -51,16 +51,6 @@ std::string ValidateArrivalGen(const ArrivalGenConfig& config) {
   return "";
 }
 
-double ArrivalRateAt(const ArrivalGenConfig& config, double base_rate_per_s,
-                     double t, const std::vector<double>& burst_onsets) {
-  size_t cursor = 0;
-  double rate = base_rate_per_s * DiurnalFactor(config, t);
-  if (InBurst(burst_onsets, config.burst_duration_s, t, &cursor)) {
-    rate *= config.burst_multiplier;
-  }
-  return rate;
-}
-
 std::vector<double> GenerateArrivalTimes(const ArrivalGenConfig& config,
                                          double base_rate_per_s, double duration_s) {
   std::vector<double> out;

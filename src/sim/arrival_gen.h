@@ -46,11 +46,6 @@ struct ArrivalGenConfig {
 // Empty string when valid, else a description of the offending field.
 std::string ValidateArrivalGen(const ArrivalGenConfig& config);
 
-// Instantaneous rate at time t given the burst windows (sorted onset
-// times). Exposed for tests; the generator uses an O(1) cursor internally.
-double ArrivalRateAt(const ArrivalGenConfig& config, double base_rate_per_s,
-                     double t, const std::vector<double>& burst_onsets);
-
 // Strictly increasing arrival times in [0, duration_s), drawn by thinning a
 // homogeneous Poisson process at the rate ceiling. base_rate_per_s is the
 // mean rate the diurnal modulation oscillates around (e.g. derived from

@@ -103,7 +103,6 @@ class SparkEngine {
 
   // --- Introspection ---
   const SparkWorkload& workload() const { return workload_; }
-  int num_stages() const { return static_cast<int>(stages_.size()); }
   int64_t tasks_completed() const { return static_cast<int64_t>(completion_log_.size()); }
   int64_t tasks_killed() const { return tasks_killed_; }
   int64_t rollbacks() const { return rollbacks_; }

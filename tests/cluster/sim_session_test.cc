@@ -128,7 +128,7 @@ TEST(SimSessionTest, SnapshotRestoreIsByteInvisible) {
     TelemetryContext resumed;
     SimSession::RestoreOptions options;
     options.telemetry = &resumed;
-    Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+    Result<SimSession> restored = SimSession::RestoreView(bytes, options);
     ASSERT_TRUE(restored.ok()) << "kill at " << kill_at_s << "s: "
                                << restored.error();
     EXPECT_EQ(restored.value().now(), kill_at_s);
@@ -156,7 +156,7 @@ TEST(SimSessionTest, SnapshotIsThreadCountIndependent) {
   TelemetryContext telemetry;
   SimSession::RestoreOptions options;
   options.telemetry = &telemetry;
-  Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+  Result<SimSession> restored = SimSession::RestoreView(bytes, options);
   ASSERT_TRUE(restored.ok()) << restored.error();
   EXPECT_EQ(restored.value().config().cluster.threads, 7);
   restored.value().Finish();
@@ -192,21 +192,21 @@ TEST(SimSessionTest, RestoreRejectsCorruptedSnapshots) {
   // Bad magic.
   std::string bad_magic = bytes;
   bad_magic[0] = 'X';
-  Result<SimSession> r = SimSession::RestoreBytes(bad_magic);
+  Result<SimSession> r = SimSession::RestoreView(bad_magic, {});
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().find("magic"), std::string::npos) << r.error();
 
   // Unsupported future version.
   std::string bad_version = bytes;
   bad_version[8] = static_cast<char>(kSnapshotFormatVersion + 1);
-  r = SimSession::RestoreBytes(bad_version);
+  r = SimSession::RestoreView(bad_version, {});
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().find("version"), std::string::npos) << r.error();
 
   // A flipped payload byte must trip the integrity footer.
   std::string flipped = bytes;
   flipped[bytes.size() / 2] = static_cast<char>(flipped[bytes.size() / 2] ^ 0x5a);
-  r = SimSession::RestoreBytes(flipped);
+  r = SimSession::RestoreView(flipped, {});
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().find("integrity"), std::string::npos) << r.error();
 
@@ -214,12 +214,12 @@ TEST(SimSessionTest, RestoreRejectsCorruptedSnapshots) {
   // crash, never a session.
   for (const size_t keep : {size_t{0}, size_t{4}, size_t{11}, size_t{12},
                             bytes.size() / 3, bytes.size() - 9, bytes.size() - 1}) {
-    r = SimSession::RestoreBytes(bytes.substr(0, keep));
+    r = SimSession::RestoreView(bytes.substr(0, keep), {});
     EXPECT_FALSE(r.ok()) << "prefix of " << keep << " bytes restored";
   }
 
   // Trailing garbage after the footer.
-  r = SimSession::RestoreBytes(bytes + "zzz");
+  r = SimSession::RestoreView(bytes + "zzz", {});
   EXPECT_FALSE(r.ok());
 }
 
@@ -235,7 +235,7 @@ TEST(SimSessionTest, RestoreRejectsUsedTelemetryContext) {
   used.metrics().Counter("someone/elses/counter");
   SimSession::RestoreOptions options;
   options.telemetry = &used;
-  const Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+  const Result<SimSession> restored = SimSession::RestoreView(bytes, options);
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.error().find("mismatch"), std::string::npos)
       << restored.error();

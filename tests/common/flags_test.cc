@@ -8,7 +8,7 @@ namespace {
 struct Flags {
   std::string name = "default";
   double ratio = 1.5;
-  int64_t count = 10;
+  int count = 10;
   bool verbose = false;
 };
 
@@ -82,6 +82,17 @@ TEST(FlagsTest, Errors) {
     EXPECT_EQ(result.error(), std::string("--ratio: bad number '") + value + "'");
   }
   EXPECT_DOUBLE_EQ(f.ratio, 1.5);
+  // An int flag takes int's range only (2^32 + 1 would narrow to 1); the
+  // bounds themselves parse.
+  const auto wide = ParseArgs(parser, {"--count=4294967297"});
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.error(), "--count: 4294967297 is out of range (max 2147483647)");
+  EXPECT_FALSE(ParseArgs(parser, {"--count=-2147483649"}).ok());
+  EXPECT_EQ(f.count, 10);
+  ASSERT_TRUE(ParseArgs(parser, {"--count=-2147483648"}).ok());
+  EXPECT_EQ(f.count, -2147483647 - 1);
+  ASSERT_TRUE(ParseArgs(parser, {"--count=2147483647"}).ok());
+  EXPECT_EQ(f.count, 2147483647);
 }
 
 TEST(FlagsTest, DuplicateFlagRejected) {

@@ -18,17 +18,14 @@ Result<std::vector<std::string>> ParseArgs(SimOptionsParser& options,
 
 TEST(SimOptionsTest, SharedFlagsParseIntoCommon) {
   SimOptionsParser options("a test tool");
-  ASSERT_TRUE(ParseArgs(options, {"--metrics-out=m.json", "--trace-out=t.jsonl",
-                                  "--fault-plan=f.plan"})
-                  .ok());
+  ASSERT_TRUE(ParseArgs(options, {"--metrics-out=m.json", "--trace-out=t.jsonl"}).ok());
   EXPECT_EQ(options.common().metrics_out, "m.json");
   EXPECT_EQ(options.common().trace_out, "t.jsonl");
-  EXPECT_EQ(options.common().fault_plan, "f.plan");
 }
 
 TEST(SimOptionsTest, ToolSpecificFlagsRegisterAlongside) {
   SimOptionsParser options("a test tool");
-  int64_t workers = 4;
+  int workers = 4;
   options.flags().AddInt("workers", "worker count", &workers);
   ASSERT_TRUE(ParseArgs(options, {"--workers=9", "--metrics-out=m.json"}).ok());
   EXPECT_EQ(workers, 9);
@@ -37,7 +34,7 @@ TEST(SimOptionsTest, ToolSpecificFlagsRegisterAlongside) {
 
 TEST(SimOptionsTest, SharedFlagsAppearFirstInHelp) {
   SimOptionsParser options("my program banner");
-  int64_t workers = 4;
+  int workers = 4;
   options.flags().AddInt("workers", "worker count", &workers);
   const auto result = ParseArgs(options, {"--help"});
   ASSERT_FALSE(result.ok());
@@ -160,18 +157,6 @@ TEST(WorkloadSpecTest, ValidationOwnsPairwiseExclusions) {
   EXPECT_EQ(slo_valid.error(), "spec:1: 'slo-p99-ms' requires interactive");
 }
 
-TEST(WorkloadSpecTest, FlagBuiltSpecsKeepFlagWording) {
-  // Provenance line 0 marks a flag-built setting; validation then words the
-  // error with the --flag spelling instead of a source line.
-  WorkloadSpec spec;
-  spec.interactive = false;
-  spec.slo_p99_ms = 50.0;
-  spec.provenance.emplace("slo-p99-ms", 0);
-  const Result<bool> valid = ValidateWorkloadSpec(spec, "<flags>");
-  ASSERT_FALSE(valid.ok());
-  EXPECT_EQ(valid.error(), "--slo-p99-ms requires interactive");
-}
-
 TEST(WorkloadSpecTest, ValidationRangeChecks) {
   const struct {
     const char* text;
@@ -185,6 +170,11 @@ TEST(WorkloadSpecTest, ValidationRangeChecks) {
        "must be 'slo' or 'uniform' (got 'aggressive')"},
       {"interactive = on\nrate-amplitude = 2\n", "must be in [0, 1]"},
       {"interactive = on\nrate-period-h = 0\n", "must be positive"},
+      // duration-h * 3600 / slo-period-s control ticks are capped at
+      // kMaxCadenceTicks; a key left at its default is named without a line.
+      {"interactive = on\nslo-period-s = 1e-9\n",
+       "spec:2: 'slo-period-s' fires 4.32e+13 times over the 12 h horizon (max 100000)"},
+      {"interactive = on\nduration-h = 2000\n", "spec: 'slo-period-s' fires 1.2e+05 times"},
   };
   for (const auto& c : cases) {
     const Result<WorkloadSpec> parsed = ParseWorkloadSpec(c.text, "spec");
@@ -193,6 +183,14 @@ TEST(WorkloadSpecTest, ValidationRangeChecks) {
     ASSERT_FALSE(valid.ok()) << c.text;
     EXPECT_NE(valid.error().find(c.want), std::string::npos)
         << "for input <" << c.text << ">: " << valid.error();
+  }
+  // Exactly at the tick cap is allowed; without the interactive mix there
+  // are no ticks to count.
+  for (const char* text : {"interactive = on\nduration-h = 1000\nslo-period-s = 36\n",
+                           "duration-h = 2000\n"}) {
+    const Result<WorkloadSpec> parsed = ParseWorkloadSpec(text, "spec");
+    ASSERT_TRUE(parsed.ok()) << parsed.error();
+    EXPECT_TRUE(ValidateWorkloadSpec(parsed.value(), "spec").ok()) << text;
   }
 }
 

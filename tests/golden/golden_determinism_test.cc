@@ -174,7 +174,7 @@ std::string RunScenarioWithSnapshot(const std::string& name, int threads) {
   TelemetryContext resumed;
   SimSession::RestoreOptions options;
   options.telemetry = &resumed;
-  Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+  Result<SimSession> restored = SimSession::RestoreView(bytes, options);
   EXPECT_TRUE(restored.ok()) << restored.error();
   if (!restored.ok()) {
     return "";

@@ -119,7 +119,7 @@ TEST(ArenaEquivalenceTest, MidRunRestoreIsInvisibleUnderRandomConfigs) {
     TelemetryContext resumed;
     SimSession::RestoreOptions options;
     options.telemetry = &resumed;
-    Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+    Result<SimSession> restored = SimSession::RestoreView(bytes, options);
     ASSERT_TRUE(restored.ok()) << restored.error();
     restored.value().Finish();
     EXPECT_EQ(reference, Export(resumed))
@@ -161,7 +161,7 @@ TEST(ArenaEquivalenceTest, SnapshotBytesNeverDependOnWarmArenaState) {
     TelemetryContext resumed;
     SimSession::RestoreOptions options;
     options.telemetry = &resumed;
-    Result<SimSession> restored = SimSession::RestoreBytes(early_bytes, options);
+    Result<SimSession> restored = SimSession::RestoreView(early_bytes, options);
     ASSERT_TRUE(restored.ok()) << restored.error();
     restored.value().StepUntil(late);
     EXPECT_EQ(direct, restored.value().SnapshotBytes())
@@ -169,7 +169,7 @@ TEST(ArenaEquivalenceTest, SnapshotBytesNeverDependOnWarmArenaState) {
         << "s differs between a fresh run and one restored at " << early << "s";
 
     // Restore -> immediate re-snapshot is the identity on the bytes, too.
-    Result<SimSession> reread = SimSession::RestoreBytes(direct);
+    Result<SimSession> reread = SimSession::RestoreView(direct, {});
     ASSERT_TRUE(reread.ok()) << reread.error();
     EXPECT_EQ(direct, reread.value().SnapshotBytes()) << "trial " << trial;
   }

@@ -23,6 +23,7 @@
 
 #include "src/cluster/durable_session.h"
 #include "src/cluster/sim_session.h"
+#include "src/common/cadence.h"
 #include "src/common/crash_point.h"
 #include "src/common/rng.h"
 #include "src/telemetry/telemetry.h"
@@ -232,6 +233,34 @@ TEST_F(DurableRecoveryTest, RecoverIsReadOnly) {
                   << std::filesystem::file_size(entry.path()) << ";";
   }
   EXPECT_EQ(listing_before.str(), listing_after.str());
+}
+
+TEST_F(DurableRecoveryTest, CheckpointCadenceIsBoundedBeforeAnyWork) {
+  // A cadence that would checkpoint more than kMaxCadenceTicks times over
+  // the horizon is rejected before Create touches the disk and before
+  // Recover replays the journal (replay checkpoints at every boundary).
+  const ClusterSimConfig config = BaseConfig();
+  DurableSession::Options options;
+  options.dir = dir_;
+  options.checkpoint_every_s =
+      config.trace.duration_s / (kMaxCadenceTicks + 1);
+  const Result<DurableSession> created = DurableSession::Create(config, options);
+  ASSERT_FALSE(created.ok());
+  EXPECT_NE(created.error().find("checkpoint cadence fires"), std::string::npos)
+      << created.error();
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+
+  options.checkpoint_every_s = 600.0;
+  {
+    Result<DurableSession> run = DurableSession::Create(config, options);
+    ASSERT_TRUE(run.ok()) << run.error();
+    ASSERT_TRUE(run.value().StepUntil(1800.0).ok());
+  }
+  options.checkpoint_every_s = 1e-9;
+  const Result<DurableSession> recovered = DurableSession::Recover(options);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_NE(recovered.error().find("checkpoint cadence fires"), std::string::npos)
+      << recovered.error();
 }
 
 TEST_F(DurableRecoveryTest, DirectoryKilledBeforeGenesisIsNotRecoverable) {

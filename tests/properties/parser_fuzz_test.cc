@@ -116,7 +116,7 @@ TEST(ParserFuzzTest, DamagedSnapshotsAlwaysRejectCleanly) {
     if (!Mutate(rng, mutated)) {
       continue;
     }
-    const Result<SimSession> restored = SimSession::RestoreBytes(mutated);
+    const Result<SimSession> restored = SimSession::RestoreView(mutated, {});
     // The blob is checksummed end to end: ANY change must be caught.
     ASSERT_FALSE(restored.ok())
         << "trial " << trial << ": a damaged snapshot restored";
@@ -288,7 +288,7 @@ TEST(ParserFuzzTest, CheckedInCorpusIsHandledCleanly) {
     ASSERT_TRUE(bytes.ok()) << bytes.error();
     ++seen;
     if (name.rfind("snapshot_", 0) == 0) {
-      const Result<SimSession> restored = SimSession::RestoreBytes(bytes.value());
+      const Result<SimSession> restored = SimSession::RestoreView(bytes.value(), {});
       EXPECT_FALSE(restored.ok()) << name << " restored but is damaged";
       if (!restored.ok()) {
         EXPECT_FALSE(restored.error().empty()) << name;

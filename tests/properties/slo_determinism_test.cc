@@ -91,7 +91,7 @@ TEST(SloDeterminismTest, SurvivesMidRunSnapshotRestore) {
   TelemetryContext resumed;
   SimSession::RestoreOptions options;
   options.telemetry = &resumed;
-  Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+  Result<SimSession> restored = SimSession::RestoreView(bytes, options);
   ASSERT_TRUE(restored.ok()) << restored.error();
   const ClusterSimResult result = restored.value().Finish();
   EXPECT_EQ(uninterrupted, Dump(resumed));
@@ -150,7 +150,7 @@ TEST(SloDeterminismTest, OverrideEnableOnPlainSnapshotIsDeterministic) {
     options.slo.fraction = fraction;
     options.slo.policy = 1;
     options.slo.control_period_s = 300.0;
-    Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+    Result<SimSession> restored = SimSession::RestoreView(bytes, options);
     EXPECT_TRUE(restored.ok()) << restored.error();
     ClusterSimResult result;
     std::string out;

@@ -87,7 +87,7 @@ std::string RunKilledAndRestored(ClusterSimConfig config, int threads,
   TelemetryContext resumed;
   SimSession::RestoreOptions options;
   options.telemetry = &resumed;
-  Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+  Result<SimSession> restored = SimSession::RestoreView(bytes, options);
   EXPECT_TRUE(restored.ok()) << restored.error();
   if (!restored.ok()) {
     return "";
@@ -131,7 +131,7 @@ TEST(SnapshotRoundtripTest, EventBoundaryKillsAreInvisible) {
     TelemetryContext resumed;
     SimSession::RestoreOptions options;
     options.telemetry = &resumed;
-    Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+    Result<SimSession> restored = SimSession::RestoreView(bytes, options);
     ASSERT_TRUE(restored.ok()) << restored.error();
     restored.value().Finish();
     EXPECT_EQ(reference, Export(resumed)) << "kill after " << kill_after
@@ -159,7 +159,7 @@ TEST(SnapshotRoundtripTest, DoubleKillIsInvisible) {
     TelemetryContext telemetry;
     SimSession::RestoreOptions options;
     options.telemetry = &telemetry;
-    Result<SimSession> restored = SimSession::RestoreBytes(first, options);
+    Result<SimSession> restored = SimSession::RestoreView(first, options);
     ASSERT_TRUE(restored.ok()) << restored.error();
     restored.value().StepUntil(5400.0);
     second = restored.value().SnapshotBytes();
@@ -167,7 +167,7 @@ TEST(SnapshotRoundtripTest, DoubleKillIsInvisible) {
   TelemetryContext resumed;
   SimSession::RestoreOptions options;
   options.telemetry = &resumed;
-  Result<SimSession> restored = SimSession::RestoreBytes(second, options);
+  Result<SimSession> restored = SimSession::RestoreView(second, options);
   ASSERT_TRUE(restored.ok()) << restored.error();
   restored.value().Finish();
   EXPECT_EQ(reference, Export(resumed));
@@ -209,7 +209,7 @@ TEST(SnapshotRoundtripTest, SharedBlobServesManyRestoresUnchanged) {
 }
 
 TEST(SnapshotRoundtripTest, FileAndBytesRestorePathsAgree) {
-  // Snapshot(path) + Restore(path) and SnapshotBytes() + RestoreBytes()
+  // Snapshot(path) + Restore(path) and SnapshotBytes() + RestoreView()
   // must be the same round trip: the file layer adds framing-free I/O only.
   const ClusterSimConfig config = BaseConfig();
   std::string bytes;
@@ -235,7 +235,7 @@ TEST(SnapshotRoundtripTest, FileAndBytesRestorePathsAgree) {
   TelemetryContext from_bytes_ctx;
   SimSession::RestoreOptions bytes_options;
   bytes_options.telemetry = &from_bytes_ctx;
-  Result<SimSession> from_bytes = SimSession::RestoreBytes(bytes, bytes_options);
+  Result<SimSession> from_bytes = SimSession::RestoreView(bytes, bytes_options);
   ASSERT_TRUE(from_bytes.ok()) << from_bytes.error();
   from_bytes.value().Finish();
 
@@ -258,7 +258,7 @@ TEST(SnapshotRoundtripTest, PlacementOverrideValidatedAndApplied) {
   SimSession::RestoreOptions options;
   options.telemetry = &overridden;
   options.placement = static_cast<int>(PlacementPolicy::kFirstFit);
-  Result<SimSession> restored = SimSession::RestoreBytes(bytes, options);
+  Result<SimSession> restored = SimSession::RestoreView(bytes, options);
   ASSERT_TRUE(restored.ok()) << restored.error();
   EXPECT_EQ(restored.value().config().cluster.placement,
             PlacementPolicy::kFirstFit);
@@ -267,7 +267,7 @@ TEST(SnapshotRoundtripTest, PlacementOverrideValidatedAndApplied) {
   SimSession::RestoreOptions bad;
   bad.telemetry = &rejected;
   bad.placement = 42;
-  Result<SimSession> invalid = SimSession::RestoreBytes(bytes, bad);
+  Result<SimSession> invalid = SimSession::RestoreView(bytes, bad);
   ASSERT_FALSE(invalid.ok());
   EXPECT_NE(invalid.error().find("placement override"), std::string::npos)
       << invalid.error();

@@ -164,7 +164,7 @@ TEST(QueryParserTest, SloKindGuardsItsAllowListAndRanges) {
 
 TEST(QueryParserTest, SloTickCountIsCapped) {
   // One line must not be able to wedge the server: hours * 3600 / period
-  // control ticks are capped at kMaxSloTicks, and the error names both keys.
+  // control ticks are capped at kMaxCadenceTicks, and the error names both keys.
   ExpectErrorMentions(ParseQuery("slo period=0.00001 hours=1"),
                       {"hours=1", "period=0.00001", "control ticks", "100000"});
   ExpectErrorMentions(ParseQuery("slo period=1e-300 hours=1"),

@@ -14,11 +14,16 @@ rm -rf "$DIR"
 mkdir -p "$DIR"
 cd "$DIR"
 
-"$SIM" --servers=10 --duration-h=3 --load=1.5 \
+cat > run.workload <<'EOF'
+duration-h = 3
+load = 1.5
+EOF
+
+"$SIM" --servers=10 --workload=run.workload \
   --metrics-out=ref.json --trace-out=ref.jsonl > /dev/null
 
 "$RUNNER" --seed=5 --kills=3 --min-delay-ms=10 --max-delay-ms=200 \
   --compare=out.json=ref.json,out.jsonl=ref.jsonl -- \
-  "$SIM" --servers=10 --duration-h=3 --load=1.5 \
+  "$SIM" --servers=10 --workload=run.workload \
     --durable-dir=run.d --checkpoint-every-h=0.25 --checkpoint-min-wall-s=0 \
     --metrics-out=out.json --trace-out=out.jsonl

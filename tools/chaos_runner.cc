@@ -8,10 +8,10 @@
 // uninterrupted run.
 //
 // Examples:
-//   chaos_runner --seed=7 --kills=4 -- \
-//       deflation_sim --servers=20 --duration-h=6 --durable-dir=run.d \
+//   chaos_runner --seed=7 --kills=4 --
+//       deflation_sim --servers=20 --workload=run.workload --durable-dir=run.d
 //                     --metrics-out=m.json
-//   chaos_runner --seed=7 --kills=4 --compare=m.json=ref.json -- \
+//   chaos_runner --seed=7 --kills=4 --compare=m.json=ref.json --
 //       deflation_sim ... --durable-dir=run.d --metrics-out=m.json
 //
 // Exit status: 0 when the command completed (and every compare pair
@@ -125,11 +125,11 @@ Result<ChildOutcome> RunGeneration(const std::vector<std::string>& command,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int64_t seed = 1;
-  int64_t kills = 3;
-  int64_t min_delay_ms = 10;
-  int64_t max_delay_ms = 500;
-  int64_t max_restarts = 64;
+  int seed = 1;
+  int kills = 3;
+  int min_delay_ms = 10;
+  int max_delay_ms = 500;
+  int max_restarts = 64;
   std::string compare;
 
   FlagParser parser(

@@ -11,9 +11,9 @@
 // every --workers value.
 //
 // Examples:
-//   deflation_sim --duration-h=12 --stop-after-h=12 --snapshot-out=fleet.snap
+//   deflation_sim --stop-after-h=12 --snapshot-out=fleet.snap
 //   deflation_server --snapshot=fleet.snap --queries=examples/whatif_queries.q
-//   deflation_server --snapshot=fleet.snap --sweep=examples/sweep_policies.grid \
+//   deflation_server --snapshot=fleet.snap --sweep=examples/sweep_policies.grid
 //       --workers=8 --out=sweep.jsonl
 //   deflation_server --recover-dir=run.d            # interactive: queries on stdin
 #include <cstdio>
@@ -33,6 +33,9 @@
 using namespace defl;
 
 namespace {
+
+// Most --workers threads one server may start (CI runs 8).
+constexpr int kMaxWorkers = 256;
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
@@ -90,7 +93,7 @@ int main(int argc, char** argv) {
   std::string queries_path;
   std::string sweep_path;
   std::string out_path;
-  int64_t workers = 1;
+  int workers = 1;
 
   FlagParser parser(
       "deflation_server: what-if capacity-planning queries over a fleet "
@@ -138,8 +141,10 @@ int main(int argc, char** argv) {
   if (snapshot.empty() && recover_dir.empty()) {
     return Fail("one of --snapshot or --recover-dir is required");
   }
-  if (workers < 1) {
-    return Fail("--workers must be >= 1");
+  // Each worker is an OS thread; the cap is checked before any snapshot is
+  // read, so a bad value starts nothing.
+  if (workers < 1 || workers > kMaxWorkers) {
+    return Fail("--workers must be in [1, " + std::to_string(kMaxWorkers) + "]");
   }
 
   // Acquire the base blob. A recovered durable dir is re-serialized through
@@ -167,12 +172,11 @@ int main(int argc, char** argv) {
   const WhatIfService& service = loaded.value();
   std::fprintf(stderr,
                "deflation_server: base fleet loaded (%zu bytes, fnv1a64 "
-               "%016llx, t=%.1fh of %.1fh, workers=%lld)\n",
+               "%016llx, t=%.1fh of %.1fh, workers=%d)\n",
                service.blob().size(),
                static_cast<unsigned long long>(service.blob_fnv()),
                service.base_now_s() / 3600.0,
-               service.base_duration_s() / 3600.0,
-               static_cast<long long>(workers));
+               service.base_duration_s() / 3600.0, workers);
 
   if (!queries_path.empty()) {
     Result<std::string> script = ReadFileToString(queries_path);
@@ -183,8 +187,7 @@ int main(int argc, char** argv) {
     if (!queries.ok()) {
       return Fail(queries_path + ": " + queries.error());
     }
-    return Emit(service.AnswerBatch(queries.value(), static_cast<int>(workers)),
-                out_path);
+    return Emit(service.AnswerBatch(queries.value(), workers), out_path);
   }
   if (!sweep_path.empty()) {
     Result<std::string> grid_text = ReadFileToString(sweep_path);
@@ -196,8 +199,7 @@ int main(int argc, char** argv) {
       return Fail(sweep_path + ": " + grid.error());
     }
     SweepOrchestrator orchestrator(&service);
-    Result<std::string> report =
-        orchestrator.Run(grid.value(), static_cast<int>(workers));
+    Result<std::string> report = orchestrator.Run(grid.value(), workers);
     if (!report.ok()) {
       return Fail(report.error());
     }

@@ -8,26 +8,31 @@
 // --trace-out files to an uninterrupted one (DESIGN.md §11).
 //
 // Examples:
-//   deflation_sim --servers=100 --load=1.6 --duration-h=12
-//   deflation_sim --workload=examples/interactive.workload   # declarative spec
-//   deflation_sim --strategy=preemption --placement=2-choices --load=1.4
-//   deflation_sim --trace-file=my_trace.csv --pricing
-//   deflation_sim --save-trace=generated.csv --load=1.2
-//   deflation_sim --metrics-out=metrics.json --trace-out=events.jsonl
-//   deflation_sim --fault-plan=examples/faults_cluster.plan
-//   deflation_sim --duration-h=48 --snapshot-every-h=6 --snapshot-out=run.snap
-//   deflation_sim --stop-after-h=12 --snapshot-out=run.snap   # checkpoint + exit
-//   deflation_sim --resume-from=run.snap                      # continue it
+//   deflation_sim --servers=100                               # default workload
+//   deflation_sim --workload=examples/interactive.workload    # workload spec
+//   deflation_sim --strategy=preemption --placement=2-choices --workload=w.workload
+//   deflation_sim --save-trace=generated.csv --workload=w.workload
+//   deflation_sim --pricing --metrics-out=metrics.json --trace-out=events.jsonl
+//   deflation_sim --snapshot-every-h=6 --snapshot-out=run.snap
+//   deflation_sim --stop-after-h=6 --snapshot-out=run.snap   # checkpoint + exit
+//   deflation_sim --resume-from=run.snap                     # continue it
 //   deflation_sim --durable-dir=run.d   # crash-safe: WAL + auto-checkpoints;
 //                                       # rerun the same command to recover
+//
+// Every workload setting -- offered load, horizon, transient share, seeds,
+// trace replay, fault plan, the diurnal arrival model, the interactive mix --
+// comes from the --workload spec (DESIGN.md §16); without one a run uses
+// WorkloadSpec's defaults.
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "src/cluster/durable_session.h"
 #include "src/cluster/sim_session.h"
 #include "src/cluster/trace_io.h"
 #include "src/common/atomic_file.h"
+#include "src/common/cadence.h"
 #include "src/common/sim_options.h"
 #include "src/faults/fault_plan.h"
 #include "src/telemetry/telemetry.h"
@@ -36,10 +41,11 @@ using namespace defl;
 
 namespace {
 
+// Run-control and cluster-shape flags; the workload itself is the
+// --workload spec file.
 struct Options {
-  // Run-control and cluster-shape flags (not part of the workload).
-  int64_t servers = 50;
-  int64_t server_cpus = 32;
+  int servers = 50;
+  int server_cpus = 32;
   double server_mem_gb = 256.0;
   std::string strategy = "deflation";
   std::string placement = "best-fit";
@@ -55,46 +61,8 @@ struct Options {
   std::string durable_dir;
   double checkpoint_every_h = 1.0;
   double checkpoint_min_wall_s = 5.0;
-  int64_t keep_checkpoints = 3;
-  // The declarative workload surface: --workload=FILE loads a WorkloadSpec;
-  // the deprecated per-knob flags below build the same spec (and cannot be
-  // combined with --workload).
+  int keep_checkpoints = 3;
   std::string workload;
-  double load = 1.6;
-  double duration_h = 12.0;
-  double low_pri_fraction = 0.6;
-  int64_t seed = 42;
-  std::string trace_file;
-  bool diurnal = false;
-  double diurnal_amplitude = 0.5;
-  double diurnal_period_h = 24.0;
-  double diurnal_phase_h = 0.0;
-  double burst_rate_per_h = 0.0;
-  double burst_duration_s = 600.0;
-  double burst_multiplier = 2.0;
-  int64_t arrival_seed = 7;
-  bool interactive = false;
-  double interactive_fraction = 0.3;
-  int64_t interactive_seed = 21;
-  double slo_p99_ms = 100.0;
-  std::string slo_policy = "slo";
-  double slo_period_s = 60.0;
-  double rate_rps_per_cpu = 30.0;
-  double rate_amplitude = 0.6;
-  double rate_period_h = 24.0;
-};
-
-// Every flag that is a deprecated alias for a WorkloadSpec key (same
-// spelling); --workload excludes all of them.
-constexpr const char* kWorkloadFlagNames[] = {
-    "load",           "duration-h",       "low-pri-fraction",
-    "seed",           "trace-file",       "fault-plan",
-    "diurnal",        "diurnal-amplitude", "diurnal-period-h",
-    "diurnal-phase-h", "burst-rate-per-h", "burst-duration-s",
-    "burst-multiplier", "arrival-seed",    "interactive",
-    "interactive-fraction", "interactive-seed", "slo-p99-ms",
-    "slo-policy",     "slo-period-s",     "rate-rps-per-cpu",
-    "rate-amplitude", "rate-period-h",
 };
 
 int Fail(const std::string& message) {
@@ -116,7 +84,7 @@ Result<ClusterSimConfig> BuildFreshConfig(const Options& opt,
                                           const SimCommonOptions& common,
                                           TelemetryContext& telemetry) {
   ClusterSimConfig config;
-  config.num_servers = static_cast<int>(opt.servers);
+  config.num_servers = opt.servers;
   config.server_capacity =
       ResourceVector(static_cast<double>(opt.server_cpus), opt.server_mem_gb * 1024.0,
                      1000.0, 10000.0);
@@ -186,6 +154,15 @@ Result<ClusterSimConfig> BuildFreshConfig(const Options& opt,
     }
     std::printf("replaying %zu events from %s\n", config.explicit_trace.size(),
                 spec.trace_file.c_str());
+  }
+  // Checked before --save-trace writes anything.
+  for (const auto& [flag, period_s] :
+       {std::pair<const char*, double>{"--reinflate-period-s", opt.reinflate_period_s},
+        {"--snapshot-every-h", opt.snapshot_every_h * 3600.0}}) {
+    const Result<bool> cadence = CheckCadence(flag, period_s, config.trace.duration_s);
+    if (!cadence.ok()) {
+      return Error{cadence.error()};
+    }
   }
   if (!opt.save_trace.empty()) {
     const std::vector<TraceEvent> generated =
@@ -294,92 +271,18 @@ int main(int argc, char** argv) {
   parser.AddDouble("server-mem-gb", "memory per server (GB)", &opt.server_mem_gb);
   parser.AddString("workload",
                    "load the workload from this spec file (`key = value` "
-                   "lines; see DESIGN.md §16); excludes the per-knob "
-                   "workload flags below",
+                   "lines; see DESIGN.md §16); without it the spec defaults "
+                   "apply",
                    &opt.workload);
-  parser.AddDouble("load",
-                   "offered CPU load as a fraction of capacity "
-                   "(workload alias; prefer --workload)",
-                   &opt.load);
-  parser.AddDouble("duration-h", "simulated hours (workload alias)",
-                   &opt.duration_h);
-  parser.AddDouble("low-pri-fraction",
-                   "fraction of transient VM arrivals (workload alias)",
-                   &opt.low_pri_fraction);
   parser.AddString("strategy", "deflation | preemption", &opt.strategy);
   parser.AddString("placement", "best-fit | first-fit | 2-choices", &opt.placement);
-  parser.AddInt("seed", "trace RNG seed (workload alias)", &opt.seed);
   parser.AddDouble("reinflate-period-s", "proactive reinflation period (0 = off)",
                    &opt.reinflate_period_s);
   parser.AddBool("predictive", "EWMA holdback during proactive reinflation",
                  &opt.predictive);
   parser.AddBool("pricing", "print the Section 8 pricing comparison", &opt.pricing);
-  parser.AddString("trace-file",
-                   "replay this CSV trace instead of generating "
-                   "(workload alias)",
-                   &opt.trace_file);
   parser.AddString("save-trace", "write the generated trace to this CSV file",
                    &opt.save_trace);
-  parser.AddBool("diurnal",
-                 "draw arrivals from the diurnal/bursty generator instead of "
-                 "a flat-rate Poisson process (--load stays the mean) "
-                 "(workload alias)",
-                 &opt.diurnal);
-  parser.AddDouble("diurnal-amplitude",
-                   "sinusoidal rate swing around the mean, 0..1 "
-                   "(workload alias)",
-                   &opt.diurnal_amplitude);
-  parser.AddDouble("diurnal-period-h", "diurnal cycle length (hours) "
-                   "(workload alias)",
-                   &opt.diurnal_period_h);
-  parser.AddDouble("diurnal-phase-h", "offset of the first rate peak (hours) "
-                   "(workload alias)",
-                   &opt.diurnal_phase_h);
-  parser.AddDouble("burst-rate-per-h", "Poisson rate of burst onsets (0 = off) "
-                   "(workload alias)",
-                   &opt.burst_rate_per_h);
-  parser.AddDouble("burst-duration-s", "length of each burst window "
-                   "(workload alias)",
-                   &opt.burst_duration_s);
-  parser.AddDouble("burst-multiplier", "rate multiplier inside a burst "
-                   "(workload alias)",
-                   &opt.burst_multiplier);
-  parser.AddInt("arrival-seed",
-                "RNG seed for diurnal arrival times (independent of --seed) "
-                "(workload alias)",
-                &opt.arrival_seed);
-  parser.AddBool("interactive",
-                 "tag a fraction of transient VMs as interactive web servers "
-                 "with an SLO-aware deflation controller (workload alias)",
-                 &opt.interactive);
-  parser.AddDouble("interactive-fraction",
-                   "fraction of transient arrivals tagged interactive "
-                   "(workload alias)",
-                   &opt.interactive_fraction);
-  parser.AddInt("interactive-seed",
-                "RNG seed for interactive tagging (workload alias)",
-                &opt.interactive_seed);
-  parser.AddDouble("slo-p99-ms",
-                   "p99 latency target for interactive VMs, milliseconds "
-                   "(workload alias)",
-                   &opt.slo_p99_ms);
-  parser.AddString("slo-policy",
-                   "slo = SLO-aware controller, uniform = measure only "
-                   "(workload alias)",
-                   &opt.slo_policy);
-  parser.AddDouble("slo-period-s",
-                   "SLO controller check period, seconds (workload alias)",
-                   &opt.slo_period_s);
-  parser.AddDouble("rate-rps-per-cpu",
-                   "mean offered request rate per nominal CPU (workload alias)",
-                   &opt.rate_rps_per_cpu);
-  parser.AddDouble("rate-amplitude",
-                   "diurnal swing of the offered request rate, 0..1 "
-                   "(workload alias)",
-                   &opt.rate_amplitude);
-  parser.AddDouble("rate-period-h",
-                   "offered-rate cycle length (hours) (workload alias)",
-                   &opt.rate_period_h);
   parser.AddDouble("recovery-grace-s",
                    "probation before a recovered server takes placements",
                    &opt.recovery_grace_s);
@@ -421,96 +324,15 @@ int main(int argc, char** argv) {
   }
   const SimCommonOptions& common = options.common();
 
-  // Resolve the workload: --workload=FILE loads and validates a spec file;
-  // otherwise the deprecated flag aliases build the same spec (provenance
-  // line 0, so validation errors keep the --flag wording). Either way,
-  // ValidateWorkloadSpec owns every cross-key rule -- e.g. a replayed trace
-  // excluding the diurnal generator -- with one wording for both surfaces.
-  WorkloadSpec spec;
-  std::string spec_source = "<flags>";
-  if (parser.WasSet("workload")) {
-    for (const char* name : kWorkloadFlagNames) {
-      if (parser.WasSet(name)) {
-        return Fail("--workload and --" + std::string(name) +
-                    " cannot be combined (the workload spec file owns that "
-                    "setting)");
-      }
-    }
-    if (!opt.resume_from.empty()) {
-      return Fail("--resume-from and --workload cannot be combined (the "
-                  "snapshot already carries its workload)");
-    }
-    const Result<std::string> text = ReadFileToString(opt.workload);
-    if (!text.ok()) {
-      return Fail("cannot read --workload: " + text.error());
-    }
-    Result<WorkloadSpec> loaded = ParseWorkloadSpec(text.value(), opt.workload);
-    if (!loaded.ok()) {
-      return Fail(loaded.error());
-    }
-    spec = std::move(loaded.value());
-    spec_source = opt.workload;
-  } else {
-    spec.load = opt.load;
-    spec.duration_h = opt.duration_h;
-    spec.low_pri_fraction = opt.low_pri_fraction;
-    spec.seed = static_cast<uint64_t>(opt.seed);
-    spec.trace_file = opt.trace_file;
-    spec.fault_plan = common.fault_plan;
-    spec.diurnal = opt.diurnal;
-    spec.diurnal_amplitude = opt.diurnal_amplitude;
-    spec.diurnal_period_h = opt.diurnal_period_h;
-    spec.diurnal_phase_h = opt.diurnal_phase_h;
-    spec.burst_rate_per_h = opt.burst_rate_per_h;
-    spec.burst_duration_s = opt.burst_duration_s;
-    spec.burst_multiplier = opt.burst_multiplier;
-    spec.arrival_seed = static_cast<uint64_t>(opt.arrival_seed);
-    spec.interactive = opt.interactive;
-    spec.interactive_fraction = opt.interactive_fraction;
-    spec.interactive_seed = static_cast<uint64_t>(opt.interactive_seed);
-    spec.slo_p99_ms = opt.slo_p99_ms;
-    spec.slo_policy = opt.slo_policy;
-    spec.slo_period_s = opt.slo_period_s;
-    spec.rate_rps_per_cpu = opt.rate_rps_per_cpu;
-    spec.rate_amplitude = opt.rate_amplitude;
-    spec.rate_period_h = opt.rate_period_h;
-    for (const char* name : kWorkloadFlagNames) {
-      if (parser.WasSet(name)) {
-        spec.provenance.emplace(name, 0);
-      }
-    }
-  }
-  {
-    const Result<bool> valid = ValidateWorkloadSpec(spec, spec_source);
-    if (!valid.ok()) {
-      return Fail(valid.error());
-    }
-  }
-
-  // Flag combinations that cannot mean anything: replaying an existing
-  // trace leaves nothing newly generated to save, and a snapshot carries
-  // its own trace and fault plan. (Workload-internal exclusions like
-  // trace-file vs diurnal live in ValidateWorkloadSpec above.)
+  // Flag combinations that cannot mean anything: a snapshot carries its own
+  // workload and trace.
   for (const Result<bool>& check : {
-           RejectFlagCombination(
-               "trace-file", !spec.trace_file.empty(), "save-trace",
-               !opt.save_trace.empty(),
-               "replaying an existing trace generates nothing to save"),
            RejectFlagCombination("resume-from", !opt.resume_from.empty(),
-                                 "trace-file", !opt.trace_file.empty(),
-                                 "the snapshot already carries its trace"),
+                                 "workload", parser.WasSet("workload"),
+                                 "the snapshot already carries its workload"),
            RejectFlagCombination("resume-from", !opt.resume_from.empty(),
                                  "save-trace", !opt.save_trace.empty(),
                                  "the snapshot already carries its trace"),
-           RejectFlagCombination("resume-from", !opt.resume_from.empty(),
-                                 "fault-plan", !common.fault_plan.empty(),
-                                 "the snapshot already carries its fault plan"),
-           RejectFlagCombination("resume-from", !opt.resume_from.empty(),
-                                 "diurnal", opt.diurnal,
-                                 "the snapshot already carries its trace"),
-           RejectFlagCombination("resume-from", !opt.resume_from.empty(),
-                                 "interactive", opt.interactive,
-                                 "the snapshot already carries its workload"),
            // The durable directory IS the checkpoint/resume mechanism; mixing
            // it with the single-snapshot flags would leave two sources of
            // truth for where the run restarts.
@@ -553,6 +375,31 @@ int main(int argc, char** argv) {
     return Fail("--keep-checkpoints must be >= 1");
   }
 
+  // The workload: the --workload spec file, loaded and checked by
+  // ValidateWorkloadSpec (which owns every cross-key rule, e.g. a replayed
+  // trace excluding the diurnal generator), or WorkloadSpec's defaults.
+  WorkloadSpec spec;
+  if (parser.WasSet("workload")) {
+    const Result<std::string> text = ReadFileToString(opt.workload);
+    if (!text.ok()) {
+      return Fail("cannot read --workload: " + text.error());
+    }
+    Result<WorkloadSpec> loaded = ParseWorkloadSpec(text.value(), opt.workload);
+    if (!loaded.ok()) {
+      return Fail(loaded.error());
+    }
+    const Result<bool> valid = ValidateWorkloadSpec(loaded.value(), opt.workload);
+    if (!valid.ok()) {
+      return Fail(valid.error());
+    }
+    spec = std::move(loaded.value());
+  }
+  if (!spec.trace_file.empty() && !opt.save_trace.empty()) {
+    return Fail("--save-trace cannot be combined with a workload that sets "
+                "trace-file (replaying an existing trace generates nothing "
+                "to save)");
+  }
+
   TelemetryContext telemetry;
 
   // Durable mode: the run directory carries the whole story. A fresh
@@ -564,7 +411,7 @@ int main(int argc, char** argv) {
     dopt.dir = opt.durable_dir;
     dopt.checkpoint_every_s = opt.checkpoint_every_h * 3600.0;
     dopt.min_checkpoint_wall_s = opt.checkpoint_min_wall_s;
-    dopt.keep_checkpoints = static_cast<int>(opt.keep_checkpoints);
+    dopt.keep_checkpoints = opt.keep_checkpoints;
     Result<DurableSession> durable = Error{"unopened"};
     if (DurableSession::CanRecover(opt.durable_dir)) {
       dopt.telemetry = &telemetry;
@@ -603,6 +450,11 @@ int main(int argc, char** argv) {
     session = SimSession::Restore(opt.resume_from, restore);
     if (!session.ok()) {
       return Fail(session.error());
+    }
+    const Result<bool> cadence = CheckCadence(
+        "--snapshot-every-h", opt.snapshot_every_h * 3600.0, session.value().duration_s());
+    if (!cadence.ok()) {
+      return Fail(cadence.error());
     }
     std::printf("resumed from %s at t=%.2fh (%lld events executed)\n",
                 opt.resume_from.c_str(), session.value().now() / 3600.0,

@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   double fraction = 0.5;
   double at_progress = 0.5;
   double scale = 1.0;
-  int64_t workers = 8;
+  int workers = 8;
+  std::string fault_plan_file;
 
   SimOptionsParser options("spark_sim: Spark workloads under resource deflation");
   FlagParser& parser = options.flags();
@@ -49,13 +50,14 @@ int main(int argc, char** argv) {
   parser.AddDouble("at-progress", "job progress at which pressure hits", &at_progress);
   parser.AddDouble("scale", "workload size multiplier", &scale);
   parser.AddInt("workers", "number of worker VMs", &workers);
+  parser.AddString("fault-plan", "inject failures from this fault plan file",
+                   &fault_plan_file);
   const Result<std::vector<std::string>> parsed = options.Parse(argc, argv);
   if (!parsed.ok()) {
     return Fail(parsed.error());
   }
   const std::string& metrics_out = options.common().metrics_out;
   const std::string& trace_out = options.common().trace_out;
-  const std::string& fault_plan_file = options.common().fault_plan;
 
   SparkWorkload workload;
   if (workload_name == "als") {
@@ -71,7 +73,7 @@ int main(int argc, char** argv) {
   }
 
   SparkExperimentConfig config;
-  config.num_workers = static_cast<int>(workers);
+  config.num_workers = workers;
   config.deflation_fraction = fraction;
   config.deflate_at_progress = at_progress;
   if (approach_name == "cascade") {
@@ -129,8 +131,8 @@ int main(int argc, char** argv) {
                 trace_out.c_str());
   }
 
-  std::printf("workload      %s (x%.2f scale, %lld workers)\n", workload.name.c_str(),
-              scale, static_cast<long long>(workers));
+  std::printf("workload      %s (x%.2f scale, %d workers)\n", workload.name.c_str(),
+              scale, workers);
   std::printf("pressure      %.0f%% of every worker at %.0f%% progress (%s)\n",
               fraction * 100.0, at_progress * 100.0, approach_name.c_str());
   std::printf("baseline      %.1f s undisturbed\n", baseline);

@@ -22,8 +22,17 @@ rm -rf "$DIR"
 mkdir -p "$DIR"
 cd "$DIR"
 
+cat > h6.workload <<'EOF'
+duration-h = 6
+load = 1.5
+EOF
+cat > h3.workload <<'EOF'
+duration-h = 3
+load = 1.5
+EOF
+
 # --- 1. Worker invariance on a mid-run snapshot ---
-"$SIM" --servers=10 --duration-h=6 --load=1.5 \
+"$SIM" --servers=10 --workload=h6.workload \
   --stop-after-h=3 --snapshot-out=mid.snap > /dev/null
 
 "$SERVER" --snapshot=mid.snap --queries="$EXAMPLES/whatif_queries.q" \
@@ -41,10 +50,10 @@ for grid in sweep_policies sweep_faults; do
 done
 
 # --- 2. Cold snapshot vs recovered durable dir ---
-"$SIM" --servers=10 --duration-h=3 --load=1.5 \
+"$SIM" --servers=10 --workload=h3.workload \
   --stop-after-h=3 --snapshot-out=cold.snap > /dev/null
 
-"$SIM" --servers=10 --duration-h=3 --load=1.5 \
+"$SIM" --servers=10 --workload=h3.workload \
   --durable-dir=run.d --checkpoint-every-h=1 --checkpoint-min-wall-s=0 \
   > /dev/null
 
@@ -57,10 +66,20 @@ cmp cold.jsonl recovered.jsonl
 # --- 3. slo queries against an interactive-serving snapshot ---
 # DESIGN.md §16: the batch mixes measurement (no knobs), policy flips, and a
 # mix-fraction override; answers must not move with the worker count.
-"$SIM" --servers=10 --duration-h=6 --load=1.5 \
-  --diurnal --diurnal-period-h=2 --arrival-seed=17 \
-  --interactive --interactive-fraction=0.45 --slo-p99-ms=60 \
-  --slo-period-s=300 --rate-rps-per-cpu=120 --rate-period-h=2 \
+cat > slo.workload <<'EOF'
+duration-h = 6
+load = 1.5
+diurnal = on
+diurnal-period-h = 2
+arrival-seed = 17
+interactive = on
+interactive-fraction = 0.45
+slo-p99-ms = 60
+slo-period-s = 300
+rate-rps-per-cpu = 120
+rate-period-h = 2
+EOF
+"$SIM" --servers=10 --workload=slo.workload \
   --stop-after-h=3 --snapshot-out=slo.snap > /dev/null
 
 cat > slo.q <<'EOF'
