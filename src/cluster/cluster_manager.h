@@ -164,6 +164,9 @@ class ClusterManager {
   // emits survives into restored output. Ignores server health (a degraded
   // server keeps its VMs across a snapshot).
   void AdoptVm(std::unique_ptr<Vm> vm, ServerId server);
+  // Sizes the VmId index for `vms` adoptions up front, so a restore does not
+  // rehash it as it fills. The index is never iterated, so no order changes.
+  void ReserveVmIndex(size_t vms) { vm_index_.reserve(vms); }
   const std::vector<ServerHealth>& health_states() const { return health_; }
   // Reinstates the snapshotted health vector; false if the size differs.
   bool RestoreHealthStates(const std::vector<ServerHealth>& health);

@@ -514,7 +514,7 @@ void Transfer(IO& io, TelemetrySection<Records>& telemetry) {
 
 // FNV-1a-64 over the trace's encoded events, sealed like a snapshot. Stored
 // with an elided trace so a restore can prove the regenerated arrivals are
-// the ones the run used.
+// the ones the run used. Streamed: no trace-sized string is built.
 uint64_t TraceChecksum(const std::vector<TraceEvent>& trace);
 
 }  // namespace defl

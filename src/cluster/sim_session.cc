@@ -109,9 +109,11 @@ struct SimSession::State {
   std::vector<FaultInjector::ServerEvent> fault_events;
   // The materialized arrival trace; VmId == index. Inlined into snapshots
   // only when it was handed in explicitly -- a config-generated trace is
-  // regenerated on restore and only its length + checksum are serialized,
-  // keeping checkpoint I/O proportional to live state, not trace length.
-  std::vector<TraceEvent> trace;
+  // regenerated (or adopted from RestoreOptions::trace) on restore and only
+  // its length + checksum are serialized, keeping checkpoint I/O
+  // proportional to live state, not trace length. Never written once set:
+  // it may be shared with other sessions.
+  std::shared_ptr<const std::vector<TraceEvent>> trace;
   bool trace_generated = false;
   uint64_t trace_fnv = 0;
   EwmaPredictor predictor;
@@ -138,20 +140,22 @@ struct SimSession::State {
     }
   }
 
-  // Sets the arrival trace and its checksum, for Open, Restore and the SLO
-  // override alike. An `adopted` (explicit) trace is authoritative: VMs it
-  // already names "web*" are interactive, nothing is re-tagged. Otherwise
-  // the config's generator runs and the interactive mix is tagged. The
-  // checksum is taken after tagging, so a restore that regenerates and
-  // re-tags with the snapshotted mix can verify against it.
+  // Sets a private arrival trace and its checksum, for Open, Restore and
+  // the SLO override alike. An `adopted` (explicit) trace is authoritative:
+  // VMs it already names "web*" are interactive, nothing is re-tagged.
+  // Otherwise the config's generator runs and the interactive mix is
+  // tagged. The checksum is taken after tagging, so a restore that
+  // regenerates and re-tags with the snapshotted mix can verify against it.
   void MaterializeTrace(std::optional<std::vector<TraceEvent>> adopted) {
     trace_generated = !adopted.has_value();
-    trace = trace_generated ? GenerateArrivalTrace(config.trace, config.arrivals)
-                            : std::move(*adopted);
+    std::vector<TraceEvent> events =
+        trace_generated ? GenerateArrivalTrace(config.trace, config.arrivals)
+                        : std::move(*adopted);
     if (trace_generated && config.interactive.enabled) {
-      ApplyInteractiveMix(trace, config.interactive);
+      ApplyInteractiveMix(events, config.interactive);
     }
-    trace_fnv = TraceChecksum(trace);
+    trace_fnv = TraceChecksum(events);
+    trace = std::make_shared<const std::vector<TraceEvent>>(std::move(events));
   }
 
   void Push(double when, SimEventKind kind, int64_t payload) {
@@ -210,7 +214,7 @@ struct SimSession::State {
         manager->MarkHealthy(entry.payload);
         break;
       case SimEventKind::kVmArrival: {
-        const TraceEvent& event = trace[static_cast<size_t>(entry.payload)];
+        const TraceEvent& event = (*trace)[static_cast<size_t>(entry.payload)];
         auto vm = std::make_unique<Vm>(entry.payload, event.spec);
         const Result<ServerId> placed = manager->LaunchVm(std::move(vm));
         if (placed.ok()) {
@@ -321,7 +325,7 @@ struct SimSession::State {
         case SimEventKind::kVmArrival:
         case SimEventKind::kVmCompletion:
           payload_ok = entry.payload >= 0 &&
-                       static_cast<size_t>(entry.payload) < trace.size();
+                       static_cast<size_t>(entry.payload) < trace->size();
           break;
         case SimEventKind::kSloTick:
           // An SLO tick without the interactive config is inconsistent (its
@@ -353,9 +357,10 @@ struct SimSession::State {
   // its pop order depends only on the (when, seq) keys.
   void QueueArrivals(double after) {
     const int64_t seq_base = static_cast<int64_t>(fault_events.size());
-    for (size_t i = 0; i < trace.size(); ++i) {
-      if (trace[i].arrival_s > after) {
-        queue.push_back(QueueEntry{trace[i].arrival_s, seq_base + static_cast<int64_t>(i),
+    const std::vector<TraceEvent>& events = *trace;
+    for (size_t i = 0; i < events.size(); ++i) {
+      if (events[i].arrival_s > after) {
+        queue.push_back(QueueEntry{events[i].arrival_s, seq_base + static_cast<int64_t>(i),
                                    SimEventKind::kVmArrival, static_cast<int64_t>(i)});
       }
     }
@@ -401,6 +406,11 @@ struct SimSession::State {
     // snapshotting run already took). Adoption in (server, hosting) order
     // replays the admission order, so per-server accounting caches
     // recompute to the exact same folds.
+    size_t vms = 0;
+    for (const std::vector<HostedVmImage>& hosted : image.servers) {
+      vms += hosted.size();
+    }
+    manager->ReserveVmIndex(vms);
     for (size_t server = 0; server < image.servers.size(); ++server) {
       for (HostedVmImage& hosted : image.servers[server]) {
         auto vm = std::make_unique<Vm>(hosted.id, std::move(hosted.spec));
@@ -418,8 +428,10 @@ struct SimSession::State {
   // trace checksum was verified against the ORIGINAL config's mix, and the
   // registry import needed the snapshot's exact layout. Enabling interactive
   // serving here appends the slo/* metrics to the registry tail -- the same
-  // position BuildCore gives them -- and re-tags the regenerated trace, so
-  // only future arrivals change; already-placed VMs keep their specs.
+  // position BuildCore gives them -- and re-tags a private regenerated trace
+  // (a shared one stays as it is), so only future arrivals change;
+  // already-placed VMs keep their specs. An explicit trace is authoritative
+  // and keeps its own "web*" tags.
   void ApplySloOverride(SnapshotDecoder& io,
                         const RestoreOptions::SloOverride& slo_override) {
     const bool was_enabled = config.interactive.enabled;
@@ -442,16 +454,12 @@ struct SimSession::State {
       io.Fail("slo override yields an invalid config: " + still_valid.error());
       return;
     }
-    if (slo_override.fraction >= 0.0 || !was_enabled) {
-      if (trace_generated) {
-        MaterializeTrace(std::nullopt);
-      } else if (slo_override.fraction >= 0.0) {
-        io.Fail("slo override cannot re-tag an explicit trace (no generator "
-                "to rerun); it tags by the \"web\" name prefix only");
-        return;
-      } else {
-        MaterializeTrace(std::move(trace));
-      }
+    if (trace_generated && (slo_override.fraction >= 0.0 || !was_enabled)) {
+      MaterializeTrace(std::nullopt);
+    } else if (slo_override.fraction >= 0.0) {
+      io.Fail("slo override cannot re-tag an explicit trace (no generator "
+              "to rerun); it tags by the \"web\" name prefix only");
+      return;
     }
     if (!was_enabled) {
       slo.RegisterMetrics(telemetry->metrics());
@@ -532,7 +540,8 @@ Result<SimSession> SimSession::Open(const ClusterSimConfig& config) {
   if (config.explicit_trace.empty()) {
     state->MaterializeTrace(std::nullopt);
   } else {
-    state->MaterializeTrace(config.explicit_trace);
+    // The session keeps one copy: the config's moves into the trace.
+    state->MaterializeTrace(std::exchange(state->config.explicit_trace, {}));
   }
 
   // Schedule the whole program in the exact order the batch runner did:
@@ -544,7 +553,7 @@ Result<SimSession> SimSession::Open(const ClusterSimConfig& config) {
                 static_cast<int64_t>(i));
   }
   state->QueueArrivals(-std::numeric_limits<double>::infinity());
-  state->clock.next_seq += static_cast<int64_t>(state->trace.size());
+  state->clock.next_seq += static_cast<int64_t>(state->trace->size());
   state->Push(config.sample_period_s, SimEventKind::kSampleTick, 0);
   if (config.reinflate_period_s > 0.0) {
     state->Push(config.reinflate_period_s, SimEventKind::kReinflateTick, 0);
@@ -639,7 +648,7 @@ ClusterSimResult SimSession::Finish() {
   result.server_crashes = result.counters.server_crashes;
   result.server_recoveries = result.counters.server_recoveries;
   if (s.config.interactive.enabled) {
-    result.interactive_vms = CountInteractive(s.trace);
+    result.interactive_vms = CountInteractive(*s.trace);
     s.slo.Report(registry, result);
   }
   return result;
@@ -648,6 +657,13 @@ ClusterSimResult SimSession::Finish() {
 TelemetryContext& SimSession::telemetry() { return *state_->telemetry; }
 const ClusterSimConfig& SimSession::config() const { return state_->config; }
 ClusterManager& SimSession::manager() { return *state_->manager; }
+
+SimSession::SharedTrace SimSession::generated_trace() const {
+  if (!state_->trace_generated) {
+    return {};
+  }
+  return {state_->trace, state_->trace_fnv};
+}
 
 // The section order here and in RestoreView is the snapshot format
 // (DESIGN.md §11); each section's fields are listed in session_codec.h.
@@ -660,8 +676,8 @@ std::string SimSession::SnapshotBytes() const {
   // serialized, so only its length and checksum go into the snapshot; the
   // restore side regenerates and verifies. Explicit traces (replay files,
   // bench harnesses) have no generator to rerun and are inlined in full.
-  TraceSection<std::span<const TraceEvent>> trace{s.trace_generated, s.trace.size(),
-                                                  s.trace_fnv, s.trace};
+  TraceSection<std::span<const TraceEvent>> trace{s.trace_generated, s.trace->size(),
+                                                  s.trace_fnv, *s.trace};
   Transfer(io, trace);
   Transfer(io, s.clock);
   const std::vector<QueueEntry> queue = s.CanonicalQueue();
@@ -731,24 +747,36 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
   State& s = *state;
 
   // Pending arrival events index into the trace, so it must be the one the
-  // run used: a generated trace is rerun and must reproduce the stored
-  // length and checksum (a generator that drifted across builds fails the
-  // restore instead of corrupting it); an inlined one must match its
-  // checksum and is never re-sampled.
+  // run used: a generated trace is adopted from the caller or rerun, and
+  // must have the stored length and checksum (a generator that drifted
+  // across builds fails the restore instead of corrupting it); an inlined
+  // one must match its checksum and is never re-sampled.
   StoredTrace stored;
   Transfer(io, stored);
-  if (io.ok() && stored.generated) {
+  const SharedTrace& shared = options.trace;
+  if (io.ok() && stored.generated && shared.events != nullptr) {
+    if (shared.events->size() != stored.length || shared.fnv != stored.fnv) {
+      io.Fail("shared arrival trace does not match the snapshot's: shared " +
+              std::to_string(shared.events->size()) + " arrivals, checksum " +
+              Hex16(shared.fnv) + "; snapshot recorded " +
+              std::to_string(stored.length) + " arrivals, checksum " +
+              Hex16(stored.fnv));
+    } else {
+      s.trace = shared.events;
+      s.trace_generated = true;
+      s.trace_fnv = shared.fnv;
+    }
+  } else if (io.ok() && stored.generated) {
     s.MaterializeTrace(std::nullopt);
-    if (s.trace.size() != stored.length || s.trace_fnv != stored.fnv) {
+    if (s.trace->size() != stored.length || s.trace_fnv != stored.fnv) {
       io.Fail("snapshot's elided arrival trace cannot be regenerated: the "
               "generator produced " +
-              std::to_string(s.trace.size()) + " arrivals, snapshot recorded " +
+              std::to_string(s.trace->size()) + " arrivals, snapshot recorded " +
               std::to_string(stored.length) + " (checksum " +
               (s.trace_fnv == stored.fnv ? "matches" : "differs") + ")");
     }
   } else if (io.ok()) {
     s.MaterializeTrace(std::move(stored.inlined));
-    s.config.explicit_trace = s.trace;
     if (s.trace_fnv != stored.fnv) {
       io.Fail("snapshot's inlined arrival trace fails its checksum");
     }

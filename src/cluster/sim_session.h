@@ -55,11 +55,24 @@ struct SimInspectView {
 
 class SimSession {
  public:
+  // A config-generated arrival trace and its TraceChecksum, held read-only
+  // so any number of sessions -- on any threads -- can share one copy.
+  struct SharedTrace {
+    std::shared_ptr<const std::vector<TraceEvent>> events;
+    uint64_t fnv = 0;
+  };
+
   struct RestoreOptions {
     // Publish into this context instead of a session-private one. It must be
     // freshly constructed (no metrics registered): Restore rebuilds the
     // snapshot's registry layout inside it and rejects any mismatch.
     TelemetryContext* telemetry = nullptr;
+    // A generated trace already verified against this snapshot (the what-if
+    // service's children, DESIGN.md §15): the restore adopts it instead of
+    // regenerating, if the snapshot's stored length and checksum equal its
+    // own, and fails naming both otherwise. Ignored when the snapshot
+    // inlines its trace. Null: regenerate and verify.
+    SharedTrace trace;
     // >= 0 overrides the snapshotted placement policy (a PlacementPolicy
     // cast to int). The restored fleet state is untouched -- only future
     // placement decisions change. This is the sweep orchestrator's policy
@@ -68,8 +81,9 @@ class SimSession {
     // Interactive-serving override (the `slo` what-if query, DESIGN.md §16):
     // enables the SLO controller on the restored child -- or adjusts an
     // already-interactive run -- without disturbing restored fleet state.
-    // Negative fields keep the snapshotted value. Overriding `fraction`
-    // re-tags the regenerated trace, so it fails on explicit-trace
+    // Negative fields keep the snapshotted value. Overriding `fraction`, or
+    // enabling a plain generated run, re-tags a private regenerated trace
+    // (a shared one is never written); `fraction` fails on explicit-trace
     // snapshots (there is no generator to rerun).
     struct SloOverride {
       bool active = false;
@@ -143,7 +157,12 @@ class SimSession {
   // The telemetry context the run publishes through (session-owned unless a
   // sink was supplied via ClusterSimConfig::telemetry / RestoreOptions).
   TelemetryContext& telemetry();
+  // The run's config. Its explicit_trace is empty: the session moved the
+  // events into its own trace.
   const ClusterSimConfig& config() const;
+  // The session's trace when its config generated it (what
+  // RestoreOptions::trace takes); events is null for an explicit trace.
+  SharedTrace generated_trace() const;
   // Deep access for tests and embedders; treat as read-only between steps.
   ClusterManager& manager();
 

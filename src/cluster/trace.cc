@@ -1,5 +1,6 @@
 #include "src/cluster/trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -70,7 +71,17 @@ std::vector<TraceEvent> GenerateTrace(const TraceConfig& config) {
   Rng rng(config.seed);
   const double total_weight = TotalCatalogWeight(config);
 
+  // Room for the Poisson count's mean + 6 sigma, so the vector is not
+  // regrown -- and briefly held twice -- while it fills. Capped (about
+  // 0.5 GB of events): an absurd rate must not claim its whole trace's
+  // memory before one event exists.
+  constexpr double kMaxReservedEvents = 1 << 22;
   std::vector<TraceEvent> events;
+  const double mean = config.arrival_rate_per_s * config.duration_s;
+  if (mean > 0.0) {
+    events.reserve(static_cast<size_t>(
+        std::min(mean + 6.0 * std::sqrt(mean), kMaxReservedEvents)));
+  }
   double t = rng.Exponential(config.arrival_rate_per_s);
   int64_t next_id = 0;
   while (t < config.duration_s) {

@@ -116,6 +116,7 @@ Result<WhatIfService> WhatIfService::Load(std::string blob) {
   }
   service.base_now_s_ = check.value().now();
   service.base_duration_s_ = check.value().duration_s();
+  service.trace_ = check.value().generated_trace();
   return service;
 }
 
@@ -124,6 +125,7 @@ Result<SimSession> WhatIfService::RestoreChild(
     const SimSession::RestoreOptions::SloOverride* slo) const {
   SimSession::RestoreOptions options;
   options.telemetry = telemetry;
+  options.trace = trace_;
   options.placement = placement;
   if (slo != nullptr) {
     options.slo = *slo;

@@ -7,9 +7,10 @@
 //
 // Isolation model: every query gets its own SimSession (restored zero-copy
 // via SimSession::RestoreView) and its own fresh TelemetryContext, and runs
-// on the one thread that answers it, so concurrent queries share exactly
-// one thing -- the const blob -- and an answer depends only on (blob, query). That is
-// what makes AnswerBatch byte-identical at every worker count: results are
+// on the one thread that answers it, so concurrent queries share only
+// read-only state -- the const blob and the arrival trace Load verified
+// against it -- and an answer depends only on (blob, query). That is what
+// makes AnswerBatch byte-identical at every worker count: results are
 // written into a slot per query and joined in input order.
 #ifndef SRC_SERVICE_WHATIF_H_
 #define SRC_SERVICE_WHATIF_H_
@@ -65,6 +66,8 @@ class WhatIfService {
  public:
   // Takes ownership of the snapshot blob and validates it with one probe
   // restore; a corrupt or version-skewed blob fails here, not per query.
+  // The probe's generated arrival trace, verified against the blob, is kept
+  // and shared read-only by every child.
   static Result<WhatIfService> Load(std::string blob);
 
   // Executes one query on a private child session and renders the answer as
@@ -81,12 +84,12 @@ class WhatIfService {
   std::string AnswerBatch(const std::vector<WhatIfQuery>& queries,
                           int workers) const;
 
-  // Forks a private child session off the shared blob. `telemetry` must be
-  // fresh; `placement` >= 0 overrides the future placement policy (the
-  // sweep orchestrator's policy axis); `slo` (when non-null and active)
-  // overrides the interactive-serving SLO config on the child, enabling it
-  // if the snapshot ran without one. Queries parallelize across sessions,
-  // never inside one.
+  // Forks a private child session off the shared blob and trace.
+  // `telemetry` must be fresh; `placement` >= 0 overrides the future
+  // placement policy (the sweep orchestrator's policy axis); `slo` (when
+  // non-null and active) overrides the interactive-serving SLO config on
+  // the child, enabling it if the snapshot ran without one. Queries
+  // parallelize across sessions, never inside one.
   Result<SimSession> RestoreChild(
       TelemetryContext* telemetry, int placement = -1,
       const SimSession::RestoreOptions::SloOverride* slo = nullptr) const;
@@ -105,6 +108,8 @@ class WhatIfService {
 
   std::shared_ptr<const std::string> blob_;
   uint64_t blob_fnv_ = 0;
+  // The blob's generated trace, null for an inlined one (DESIGN.md §15).
+  SimSession::SharedTrace trace_;
   double base_now_s_ = 0.0;
   double base_duration_s_ = 0.0;
 };

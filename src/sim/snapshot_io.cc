@@ -9,11 +9,10 @@
 
 namespace defl {
 
-uint64_t SnapshotFnv1a64(const char* data, size_t size) {
-  uint64_t hash = 14695981039346656037ull;
+uint64_t SnapshotFnv1a64(const char* data, size_t size, uint64_t hash) {
   for (size_t i = 0; i < size; ++i) {
     hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ull;
+    hash *= kFnv1a64Prime;
   }
   return hash;
 }

@@ -23,8 +23,12 @@
 namespace defl {
 
 // FNV-1a 64-bit over a byte range (the same digest the golden suite pins
-// tool output with; here it is the snapshot integrity footer).
-uint64_t SnapshotFnv1a64(const char* data, size_t size);
+// tool output with; here it is the snapshot integrity footer). `hash`
+// continues a running digest: SnapshotFnv1a64(b, n, SnapshotFnv1a64(a, m))
+// is the digest of a's m bytes followed by b's n.
+inline constexpr uint64_t kFnv1a64Basis = 14695981039346656037ull;
+inline constexpr uint64_t kFnv1a64Prime = 1099511628211ull;
+uint64_t SnapshotFnv1a64(const char* data, size_t size, uint64_t hash = kFnv1a64Basis);
 // A 64-bit digest as 16 lowercase hex digits, the spelling every report
 // footer and integrity error uses.
 std::string Hex16(uint64_t v);

@@ -3,7 +3,8 @@
 // two byte strings are equal. A payload cut inside a section fails with an
 // error naming that section, and an out-of-range enum byte fails naming its
 // field. Concurrent decodes of one shared blob (the what-if service's
-// copy-on-restore children) agree with each other.
+// copy-on-restore children) agree with each other, and the streamed trace
+// checksum is the digest of the sealed blob it no longer builds.
 #include "src/cluster/session_codec.h"
 
 #include <gtest/gtest.h>
@@ -11,9 +12,11 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/sim_session.h"
+#include "src/cluster/slo_controller.h"
 #include "src/telemetry/telemetry.h"
 
 namespace defl {
@@ -158,6 +161,52 @@ TEST(SessionCodecTest, ArrivalTraceSectionRoundTrips) {
   generated.fnv = 0x1234;
   ExpectSectionRoundTrips(generated, "arrival trace");
   EXPECT_EQ(Encode(generated).size(), kHeaderBytes + 1 + 8 + 8 + kFooterBytes);
+}
+
+// What TraceChecksum has always meant: the events sealed into a blob like a
+// snapshot's, and the whole blob hashed.
+uint64_t SealedTraceDigest(const std::vector<TraceEvent>& trace) {
+  SnapshotWriter writer;
+  SnapshotEncoder io(writer);
+  for (const TraceEvent& event : trace) {
+    Transfer(io, event);
+  }
+  const std::string bytes = writer.Finish();
+  return SnapshotFnv1a64(bytes.data(), bytes.size());
+}
+
+TEST(SessionCodecTest, StreamedTraceChecksumEqualsSealedBlobDigest) {
+  TraceConfig config;
+  config.duration_s = 4.0 * 3600.0;
+  config.arrival_rate_per_s = 0.05;
+  config.seed = 7;
+  ArrivalGenConfig diurnal;
+  diurnal.enabled = true;
+  diurnal.diurnal_amplitude = 0.6;
+  diurnal.diurnal_period_s = 2.0 * 3600.0;
+  diurnal.seed = 17;
+  InteractiveSloConfig mix;
+  mix.enabled = true;
+  mix.fraction = 0.45;
+
+  const std::vector<TraceEvent> flat = GenerateTrace(config);
+  std::vector<TraceEvent> tagged = GenerateDiurnalTrace(config, diurnal);
+  ApplyInteractiveMix(tagged, mix);
+  ASSERT_GT(CountInteractive(tagged), 0);
+  // Past the 15 characters a std::string keeps inline.
+  VmSpec long_name = DeflatableSpec();
+  long_name.name = "memcached-hot-set-replica-000042";
+  const std::vector<std::pair<const char*, std::vector<TraceEvent>>> traces = {
+      {"empty", {}},
+      {"flat", flat},
+      {"diurnal", GenerateDiurnalTrace(config, diurnal)},
+      {"long names", {TraceEvent{5.0, 60.0, long_name}, TraceEvent{9.5, 30.0, long_name}}},
+      {"interactive-tagged", tagged},
+  };
+  for (const auto& [name, trace] : traces) {
+    EXPECT_EQ(TraceChecksum(trace), SealedTraceDigest(trace)) << name;
+  }
+  EXPECT_NE(TraceChecksum(flat), TraceChecksum({}));
 }
 
 TEST(SessionCodecTest, ClockRoundTrips) {

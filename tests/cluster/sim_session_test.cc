@@ -3,15 +3,20 @@
 // (a stepped run equals a batch RunClusterSim of the same config), a
 // snapshot/restore cycle must be byte-invisible in the telemetry exports,
 // and corrupted or truncated snapshots must fail Restore with a descriptive
-// error -- never a crash or a half-restored session.
+// error -- never a crash or a half-restored session. A restore handed a
+// shared trace adopts it only if it is the snapshot's.
 #include "src/cluster/sim_session.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "src/cluster/session_codec.h"
 #include "src/sim/snapshot_io.h"
 #include "src/telemetry/telemetry.h"
 
@@ -239,6 +244,70 @@ TEST(SimSessionTest, RestoreRejectsUsedTelemetryContext) {
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.error().find("mismatch"), std::string::npos)
       << restored.error();
+}
+
+TEST(SimSessionTest, SharedTraceIsAdoptedOnlyIfItIsTheSnapshots) {
+  Result<SimSession> session = SimSession::Open(SmallSim());
+  ASSERT_TRUE(session.ok()) << session.error();
+  session.value().StepUntil(1800.0);
+  const std::string bytes = session.value().SnapshotBytes();
+  const SimSession::SharedTrace trace = session.value().generated_trace();
+  ASSERT_NE(trace.events, nullptr);
+
+  SimSession::RestoreOptions adopt;
+  adopt.trace = trace;
+  Result<SimSession> adopted = SimSession::RestoreView(bytes, adopt);
+  ASSERT_TRUE(adopted.ok()) << adopted.error();
+  EXPECT_EQ(adopted.value().generated_trace().events, trace.events);
+  EXPECT_EQ(adopted.value().SnapshotBytes(), bytes);
+
+  const size_t n = trace.events->size();
+  ASSERT_GT(n, 1u);
+
+  const auto expect_rejected = [&bytes](const SimSession::SharedTrace& shared,
+                                        const std::vector<std::string>& named) {
+    SimSession::RestoreOptions options;
+    options.trace = shared;
+    const Result<SimSession> restored = SimSession::RestoreView(bytes, options);
+    ASSERT_FALSE(restored.ok());
+    for (const std::string& value : named) {
+      EXPECT_NE(restored.error().find(value), std::string::npos)
+          << "error does not name " << value << ": " << restored.error();
+    }
+  };
+  // One arrival short, with its own (consistent) checksum.
+  std::vector<TraceEvent> shorter(trace.events->begin(), trace.events->end() - 1);
+  const uint64_t shorter_fnv = TraceChecksum(shorter);
+  expect_rejected(
+      {std::make_shared<const std::vector<TraceEvent>>(std::move(shorter)), shorter_fnv},
+      {std::to_string(n - 1) + " arrivals", Hex16(shorter_fnv),
+       std::to_string(n) + " arrivals", Hex16(trace.fnv)});
+  // The right events under a wrong checksum.
+  expect_rejected({trace.events, trace.fnv ^ 1},
+                  {Hex16(trace.fnv ^ 1), Hex16(trace.fnv)});
+}
+
+TEST(SimSessionTest, ExplicitTraceMovesIntoTheSession) {
+  ClusterSimConfig config = SmallSim();
+  config.explicit_trace = GenerateTrace(config.trace);
+  ASSERT_FALSE(config.explicit_trace.empty());
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  EXPECT_TRUE(session.value().config().explicit_trace.empty());
+  EXPECT_EQ(session.value().generated_trace().events, nullptr);
+  session.value().StepUntil(1800.0);
+  const std::string bytes = session.value().SnapshotBytes();
+
+  // A snapshot that inlines its trace ignores a shared one.
+  Result<SimSession> generated = SimSession::Open(SmallSim());
+  ASSERT_TRUE(generated.ok()) << generated.error();
+  SimSession::RestoreOptions options;
+  options.trace = generated.value().generated_trace();
+  Result<SimSession> restored = SimSession::RestoreView(bytes, options);
+  ASSERT_TRUE(restored.ok()) << restored.error();
+  EXPECT_TRUE(restored.value().config().explicit_trace.empty());
+  EXPECT_EQ(restored.value().generated_trace().events, nullptr);
+  EXPECT_EQ(restored.value().SnapshotBytes(), bytes);
 }
 
 }  // namespace

@@ -3,15 +3,17 @@
 // concurrently at several worker counts against the same base snapshot must
 // produce bitwise-identical per-query results, and the shared base blob
 // must hash identically before and after -- queries are isolated
-// copy-on-restore children and never write through the blob. Runs under
-// the TSan CI matrix; query batches are seeded from DEFL_FAULT_SEED so each
-// CI leg explores a different batch.
+// copy-on-restore children and never write through the blob, nor through
+// the arrival trace they share. Runs under the TSan CI matrix; query
+// batches are seeded from DEFL_FAULT_SEED so each CI leg explores a
+// different batch.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "src/cluster/session_codec.h"
 #include "src/cluster/sim_session.h"
 #include "src/common/rng.h"
 #include "src/service/query.h"
@@ -33,7 +35,8 @@ uint64_t TestSeed() {
 
 // A mid-run snapshot (half the horizon still ahead), so `run`/`hours=`
 // queries genuinely simulate instead of hitting the horizon clamp.
-std::string MidRunSnapshot() {
+// `interactive` tags part of its generated trace as web VMs.
+std::string MidRunSnapshot(bool interactive = false) {
   ClusterSimConfig config;
   config.num_servers = 8;
   config.server_capacity = ResourceVector(16.0, 128.0 * 1024.0, 1000.0, 10000.0);
@@ -43,6 +46,11 @@ std::string MidRunSnapshot() {
   config.trace =
       WithTargetLoad(config.trace, 1.5, config.num_servers, config.server_capacity);
   config.reinflate_period_s = 600.0;
+  if (interactive) {
+    config.interactive.enabled = true;
+    config.interactive.fraction = 0.4;
+    config.interactive.control_period_s = 300.0;
+  }
   Result<SimSession> session = SimSession::Open(config);
   EXPECT_TRUE(session.ok()) << session.error();
   session.value().StepUntil(3600.0);
@@ -183,6 +191,95 @@ TEST(WhatIfSweepTest, WorkerCountDoesNotChangeSweepReport) {
   // 2 policies x 2 fractions x 1 target x 2 intensities.
   EXPECT_NE(one.value().find("# sweep cells=8 "), std::string::npos)
       << one.value();
+}
+
+// Children restored off Load's shared trace are the children a cold
+// RestoreView of the same blob builds, now and after simulating on; only an
+// slo override that re-tags the trace builds a private one.
+TEST(WhatIfSharedTraceTest, ChildEqualsColdRestoreUnderEveryOverride) {
+  using SloOverride = SimSession::RestoreOptions::SloOverride;
+  SloOverride none;
+  SloOverride fraction;
+  fraction.active = true;
+  fraction.fraction = 0.7;
+  SloOverride enable;
+  enable.active = true;
+  struct Case {
+    const char* name;
+    int placement;
+    SloOverride slo;
+  };
+  const std::vector<Case> cases = {
+      {"no override", -1, none},
+      {"placement", static_cast<int>(PlacementPolicy::kTwoChoices), none},
+      {"slo fraction=", -1, fraction},
+      {"slo enable", -1, enable},
+  };
+  for (const bool interactive : {false, true}) {
+    const std::string blob = MidRunSnapshot(interactive);
+    Result<WhatIfService> loaded = WhatIfService::Load(blob);
+    ASSERT_TRUE(loaded.ok()) << loaded.error();
+    TelemetryContext base_telemetry;
+    Result<SimSession> base = loaded.value().RestoreChild(&base_telemetry);
+    ASSERT_TRUE(base.ok()) << base.error();
+    const SimSession::SharedTrace shared = base.value().generated_trace();
+    ASSERT_NE(shared.events, nullptr);
+
+    for (const Case& c : cases) {
+      const std::string label =
+          std::string(c.name) + (interactive ? " on interactive" : " on plain");
+      TelemetryContext child_telemetry;
+      Result<SimSession> child = loaded.value().RestoreChild(
+          &child_telemetry, c.placement, c.slo.active ? &c.slo : nullptr);
+      ASSERT_TRUE(child.ok()) << label << ": " << child.error();
+      TelemetryContext cold_telemetry;
+      SimSession::RestoreOptions cold;
+      cold.telemetry = &cold_telemetry;
+      cold.placement = c.placement;
+      cold.slo = c.slo;
+      Result<SimSession> reference = SimSession::RestoreView(blob, cold);
+      ASSERT_TRUE(reference.ok()) << label << ": " << reference.error();
+
+      EXPECT_EQ(child.value().SnapshotBytes(), reference.value().SnapshotBytes())
+          << label;
+      const bool retags = c.slo.fraction >= 0.0 || (c.slo.active && !interactive);
+      EXPECT_EQ(child.value().generated_trace().events == shared.events, !retags)
+          << label;
+      child.value().StepUntil(child.value().now() + 1800.0);
+      reference.value().StepUntil(reference.value().now() + 1800.0);
+      EXPECT_EQ(child.value().SnapshotBytes(), reference.value().SnapshotBytes())
+          << label << ", 30 min on";
+    }
+  }
+}
+
+TEST(WhatIfSharedTraceTest, ConcurrentBatchLeavesTheSharedTraceIntact) {
+  Result<WhatIfService> loaded = WhatIfService::Load(MidRunSnapshot(true));
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  const WhatIfService& service = loaded.value();
+  TelemetryContext telemetry;
+  Result<SimSession> probe = service.RestoreChild(&telemetry);
+  ASSERT_TRUE(probe.ok()) << probe.error();
+  const SimSession::SharedTrace trace = probe.value().generated_trace();
+  ASSERT_NE(trace.events, nullptr);
+
+  std::vector<WhatIfQuery> queries;
+  for (const char* line : {"slo fraction=0.9 hours=0.5", "place count=20 cpu=2 mem=4096",
+                           "slo fraction=0 policy=uniform hours=0.3",
+                           "place count=5 cpu=4 mem=8192 hours=0.5", "slo hours=0.4",
+                           "slo fraction=0.2 p99=40 hours=0.2"}) {
+    Result<WhatIfQuery> query = ParseQuery(line);
+    ASSERT_TRUE(query.ok()) << line << ": " << query.error();
+    queries.push_back(query.value());
+    queries.push_back(query.value());
+  }
+  const std::string report = service.AnswerBatch(queries, 8);
+  EXPECT_EQ(report.find("\"error\""), std::string::npos) << report;
+  // Like the blob, the trace Load verified is read-only: it still hashes to
+  // the checksum Load recorded.
+  EXPECT_EQ(TraceChecksum(*trace.events), trace.fnv);
+  EXPECT_EQ(service.blob_fnv(),
+            SnapshotFnv1a64(service.blob().data(), service.blob().size()));
 }
 
 }  // namespace

@@ -155,11 +155,13 @@ Result<ClusterSimConfig> BuildFreshConfig(const Options& opt,
     std::printf("replaying %zu events from %s\n", config.explicit_trace.size(),
                 spec.trace_file.c_str());
   }
-  // Checked before --save-trace writes anything.
-  for (const auto& [flag, period_s] :
-       {std::pair<const char*, double>{"--reinflate-period-s", opt.reinflate_period_s},
-        {"--snapshot-every-h", opt.snapshot_every_h * 3600.0}}) {
-    const Result<bool> cadence = CheckCadence(flag, period_s, config.trace.duration_s);
+  // Checked over the horizon the run has -- a replayed trace stretches it
+  // past duration-h -- and before --save-trace writes anything.
+  for (const auto& [what, period_s] :
+       {std::pair<std::string, double>{"--reinflate-period-s", opt.reinflate_period_s},
+        {"--snapshot-every-h", opt.snapshot_every_h * 3600.0},
+        {opt.workload + ": 'slo-period-s'", spec.interactive ? spec.slo_period_s : 0.0}}) {
+    const Result<bool> cadence = CheckCadence(what, period_s, config.trace.duration_s);
     if (!cadence.ok()) {
       return Error{cadence.error()};
     }

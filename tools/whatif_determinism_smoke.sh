@@ -8,6 +8,9 @@
 #      durable-dir run of the same scenario driven to completion hold the
 #      same state (recovery is byte-exact), so both bases must answer the
 #      batch identically -- at different worker counts, for good measure.
+#   3. slo queries and the shipped batch on a mid-run interactive-serving
+#      snapshot, whose children share an interactive-tagged trace, are
+#      byte-identical at workers 1 vs 8.
 #
 # Usage: whatif_determinism_smoke.sh <deflation_sim> <deflation_server> \
 #            <work_dir> <examples_dir>
@@ -94,5 +97,17 @@ EOF
   --workers=8 --out=slo_w8.jsonl 2> /dev/null
 cmp slo_w1.jsonl slo_w8.jsonl
 grep -q '"violation_rate"' slo_w1.jsonl
+
+# Every kind of query off the tagged trace Load verified once and every
+# child shares (DESIGN.md §15).
+"$SERVER" --snapshot=slo.snap --queries="$EXAMPLES/whatif_queries.q" \
+  --workers=1 --out=slo_batch_w1.jsonl 2> /dev/null
+"$SERVER" --snapshot=slo.snap --queries="$EXAMPLES/whatif_queries.q" \
+  --workers=8 --out=slo_batch_w8.jsonl 2> /dev/null
+cmp slo_batch_w1.jsonl slo_batch_w8.jsonl
+if grep -q '"error"' slo_batch_w1.jsonl; then
+  echo "shipped batch failed on the interactive snapshot" >&2
+  exit 1
+fi
 
 echo "whatif determinism smoke: OK"
