@@ -55,6 +55,10 @@ Result<bool> ValidateConfig(const ClusterSimConfig& config) {
   if (config.recovery_grace_s < 0.0) {
     return Error{"recovery_grace_s must be non-negative"};
   }
+  const std::string trace_error = ValidateTrace(config.explicit_trace);
+  if (!trace_error.empty()) {
+    return Error{"explicit_trace " + trace_error};
+  }
   const std::string arrivals_error = ValidateArrivalGen(config.arrivals);
   if (!arrivals_error.empty()) {
     return Error{"arrivals: " + arrivals_error};
@@ -115,7 +119,14 @@ struct SimSession::State {
   // it may be shared with other sessions.
   std::shared_ptr<const std::vector<TraceEvent>> trace;
   bool trace_generated = false;
-  uint64_t trace_fnv = 0;
+  // TraceChecksum(*trace), taken on first read (TraceFnv) and kept until
+  // the trace is replaced: Open and an SLO re-tag never read it.
+  mutable std::optional<uint64_t> trace_fnv;
+  // The arrival cursor: trace[i] for i >= next_arrival has not run yet and
+  // is due at (arrival_s, |fault timeline| + i) (ArrivalEntry). The trace
+  // is sorted, so trace[next_arrival] is the earliest of them; RunEvents
+  // merges it with the heap.
+  size_t next_arrival = 0;
   EwmaPredictor predictor;
 
   SeriesHandle util_series;
@@ -130,7 +141,10 @@ struct SimSession::State {
   SloController slo;
 
   SessionClock clock;
-  std::vector<QueueEntry> queue;  // binary heap under LaterEntry
+  // Binary heap under LaterEntry of every pending event but the cursor's
+  // arrivals: completions, ticks, fault events, and same-instant arrivals
+  // a restored snapshot listed (RestoreQueue).
+  std::vector<QueueEntry> queue;
   double dt_hours = 0.0;
   std::vector<ClusterManager::ServerUsageSample> usage_samples;  // scratch
 
@@ -140,12 +154,13 @@ struct SimSession::State {
     }
   }
 
-  // Sets a private arrival trace and its checksum, for Open, Restore and
-  // the SLO override alike. An `adopted` (explicit) trace is authoritative:
-  // VMs it already names "web*" are interactive, nothing is re-tagged.
-  // Otherwise the config's generator runs and the interactive mix is
-  // tagged. The checksum is taken after tagging, so a restore that
-  // regenerates and re-tags with the snapshotted mix can verify against it.
+  // Sets a private arrival trace, for Open, Restore and the SLO override
+  // alike. An `adopted` (explicit) trace is authoritative: VMs it already
+  // names "web*" are interactive, nothing is re-tagged. Otherwise the
+  // config's generator runs and the interactive mix is tagged. The
+  // checksum is left for its first reader; it covers the tags, so a restore
+  // that regenerates and re-tags with the snapshotted mix can verify
+  // against it.
   void MaterializeTrace(std::optional<std::vector<TraceEvent>> adopted) {
     trace_generated = !adopted.has_value();
     std::vector<TraceEvent> events =
@@ -154,8 +169,15 @@ struct SimSession::State {
     if (trace_generated && config.interactive.enabled) {
       ApplyInteractiveMix(events, config.interactive);
     }
-    trace_fnv = TraceChecksum(events);
+    trace_fnv.reset();
     trace = std::make_shared<const std::vector<TraceEvent>>(std::move(events));
+  }
+
+  uint64_t TraceFnv() const {
+    if (!trace_fnv.has_value()) {
+      trace_fnv = TraceChecksum(*trace);
+    }
+    return *trace_fnv;
   }
 
   void Push(double when, SimEventKind kind, int64_t payload) {
@@ -163,15 +185,46 @@ struct SimSession::State {
     std::push_heap(queue.begin(), queue.end(), LaterEntry{});
   }
 
+  // Arrival i as a queue entry, keyed by the seq Open reserved for it right
+  // after the fault timeline -- the same-time tie-break it always had.
+  QueueEntry ArrivalEntry(size_t i) const {
+    return QueueEntry{(*trace)[i].arrival_s,
+                      static_cast<int64_t>(fault_events.size() + i),
+                      SimEventKind::kVmArrival, static_cast<int64_t>(i)};
+  }
+
+  // Whether the cursor's arrival runs before the heap top.
+  bool CursorFirst() const {
+    return next_arrival < trace->size() &&
+           (queue.empty() || LaterEntry{}(queue.front(), ArrivalEntry(next_arrival)));
+  }
+
+  // Whether the next event -- the heap top or the cursor's arrival,
+  // whichever LaterEntry orders first -- is due at or before `horizon`.
+  bool Due(double horizon) const {
+    if (CursorFirst()) {
+      return (*trace)[next_arrival].arrival_s <= horizon;
+    }
+    return !queue.empty() && queue.front().when <= horizon;
+  }
+
+  // Removes and returns the next event (see Due).
+  QueueEntry PopNext() {
+    if (CursorFirst()) {
+      return ArrivalEntry(next_arrival++);
+    }
+    std::pop_heap(queue.begin(), queue.end(), LaterEntry{});
+    const QueueEntry entry = queue.back();
+    queue.pop_back();
+    return entry;
+  }
+
   // Executes up to `max_events` events due at or before `horizon`, in
   // (when, seq) order, advancing the clock to each; returns how many ran.
   int64_t RunEvents(double horizon, int64_t max_events) {
     int64_t executed = 0;
-    while (executed < max_events && !queue.empty() &&
-           queue.front().when <= horizon) {
-      std::pop_heap(queue.begin(), queue.end(), LaterEntry{});
-      const QueueEntry entry = queue.back();
-      queue.pop_back();
+    while (executed < max_events && Due(horizon)) {
+      const QueueEntry entry = PopNext();
       assert(entry.when >= clock.now);
       clock.now = entry.when;
       ++clock.events_executed;
@@ -288,19 +341,15 @@ struct SimSession::State {
 
   // Canonical queue image: sorted by (when, seq), independent of the heap's
   // internal array layout, so identical logical states snapshot to identical
-  // bytes. Strictly-future VM arrivals are elided: an arrival is queued once,
-  // at Open, with keys that follow from the trace (QueueArrivals), so the
-  // restore side rebuilds them. Arrivals AT `now` (an event-boundary
-  // snapshot can leave same-instant stragglers unexecuted) are the only ones
-  // written out.
+  // bytes. Strictly-future VM arrivals are elided: their keys follow from
+  // the trace, so the restore side points its cursor past `now` instead.
+  // The cursor's arrivals AT `now` (an event-boundary snapshot can leave
+  // same-instant stragglers unexecuted) are the only ones written out.
   std::vector<QueueEntry> CanonicalQueue() const {
-    std::vector<QueueEntry> entries;
-    entries.reserve(queue.size());
-    for (const QueueEntry& entry : queue) {
-      if (entry.kind == SimEventKind::kVmArrival && entry.when > clock.now) {
-        continue;
-      }
-      entries.push_back(entry);
+    std::vector<QueueEntry> entries(queue.begin(), queue.end());
+    for (size_t i = next_arrival;
+         i < trace->size() && (*trace)[i].arrival_s <= clock.now; ++i) {
+      entries.push_back(ArrivalEntry(i));
     }
     std::sort(entries.begin(), entries.end(),
               [](const QueueEntry& a, const QueueEntry& b) { return LaterEntry{}(b, a); });
@@ -309,8 +358,10 @@ struct SimSession::State {
 
   // Takes a snapshot's queue image, bounding each payload so a logically
   // inconsistent snapshot cannot index out of range later (the checksum
-  // only protects against corruption), then rebuilds the elided
-  // strictly-future arrivals (see CanonicalQueue).
+  // only protects against corruption), then sets the cursor to the first
+  // arrival after `now` (see CanonicalQueue). The image's arrivals stay
+  // heap entries; each must be due by `now`, so the cursor never reaches
+  // one of them.
   void RestoreQueue(SnapshotDecoder& io, std::vector<QueueEntry> entries) {
     for (const QueueEntry& entry : entries) {
       bool payload_ok = true;
@@ -323,6 +374,11 @@ struct SimSession::State {
           payload_ok = entry.payload >= 0 && entry.payload < config.num_servers;
           break;
         case SimEventKind::kVmArrival:
+          payload_ok = entry.payload >= 0 &&
+                       static_cast<size_t>(entry.payload) < trace->size() &&
+                       (*trace)[static_cast<size_t>(entry.payload)].arrival_s <=
+                           clock.now;
+          break;
         case SimEventKind::kVmCompletion:
           payload_ok = entry.payload >= 0 &&
                        static_cast<size_t>(entry.payload) < trace->size();
@@ -347,24 +403,12 @@ struct SimSession::State {
       }
     }
     queue = std::move(entries);
-    QueueArrivals(clock.now);
-  }
-
-  // Queues arrival i for every trace event after `after`, with
-  // seq = |fault timeline| + i: the number Open gives it, right after the
-  // fault timeline, and so the one a restore must give an elided arrival for
-  // the same-time tie-break order to be bit-exact. Then re-heaps the queue;
-  // its pop order depends only on the (when, seq) keys.
-  void QueueArrivals(double after) {
-    const int64_t seq_base = static_cast<int64_t>(fault_events.size());
-    const std::vector<TraceEvent>& events = *trace;
-    for (size_t i = 0; i < events.size(); ++i) {
-      if (events[i].arrival_s > after) {
-        queue.push_back(QueueEntry{events[i].arrival_s, seq_base + static_cast<int64_t>(i),
-                                   SimEventKind::kVmArrival, static_cast<int64_t>(i)});
-      }
-    }
     std::make_heap(queue.begin(), queue.end(), LaterEntry{});
+    const double now = clock.now;
+    next_arrival = static_cast<size_t>(
+        std::partition_point(trace->begin(), trace->end(),
+                             [now](const TraceEvent& e) { return e.arrival_s <= now; }) -
+        trace->begin());
   }
 
   ManagerImage SaveManager() const {
@@ -547,12 +591,13 @@ Result<SimSession> SimSession::Open(const ClusterSimConfig& config) {
   // Schedule the whole program in the exact order the batch runner did:
   // fault timeline, then trace arrivals, then the sampling tick, then the
   // reinflation tick. Sequence numbers (the same-time tie-break) depend only
-  // on this order, which pins the event interleaving byte-for-byte.
+  // on this order, which pins the event interleaving byte-for-byte. The
+  // arrivals are not queued: the cursor reads them from the sorted trace
+  // with the seqs reserved here (ArrivalEntry).
   for (size_t i = 0; i < state->fault_events.size(); ++i) {
     state->Push(state->fault_events[i].time_s, SimEventKind::kFaultEvent,
                 static_cast<int64_t>(i));
   }
-  state->QueueArrivals(-std::numeric_limits<double>::infinity());
   state->clock.next_seq += static_cast<int64_t>(state->trace->size());
   state->Push(config.sample_period_s, SimEventKind::kSampleTick, 0);
   if (config.reinflate_period_s > 0.0) {
@@ -568,10 +613,7 @@ double SimSession::now() const { return state_->clock.now; }
 double SimSession::duration_s() const { return state_->config.trace.duration_s; }
 int64_t SimSession::events_executed() const { return state_->clock.events_executed; }
 
-bool SimSession::done() const {
-  return state_->queue.empty() ||
-         state_->queue.front().when > state_->config.trace.duration_s;
-}
+bool SimSession::done() const { return !state_->Due(state_->config.trace.duration_s); }
 
 void SimSession::StepUntil(double t) {
   state_->RunUntil(std::min(t, state_->config.trace.duration_s));
@@ -587,7 +629,8 @@ SimInspectView SimSession::Inspect() const {
   view.now_s = s.clock.now;
   view.duration_s = s.config.trace.duration_s;
   view.events_executed = s.clock.events_executed;
-  view.pending_events = static_cast<int64_t>(s.queue.size());
+  view.pending_events =
+      static_cast<int64_t>(s.queue.size() + (s.trace->size() - s.next_arrival));
   view.utilization = s.manager->Utilization();
   view.overcommitment = s.manager->Overcommitment();
   view.counters = s.manager->counters();
@@ -662,7 +705,7 @@ SimSession::SharedTrace SimSession::generated_trace() const {
   if (!state_->trace_generated) {
     return {};
   }
-  return {state_->trace, state_->trace_fnv};
+  return {state_->trace, state_->TraceFnv()};
 }
 
 // The section order here and in RestoreView is the snapshot format
@@ -677,7 +720,7 @@ std::string SimSession::SnapshotBytes() const {
   // restore side regenerates and verifies. Explicit traces (replay files,
   // bench harnesses) have no generator to rerun and are inlined in full.
   TraceSection<std::span<const TraceEvent>> trace{s.trace_generated, s.trace->size(),
-                                                  s.trace_fnv, *s.trace};
+                                                  s.TraceFnv(), *s.trace};
   Transfer(io, trace);
   Transfer(io, s.clock);
   const std::vector<QueueEntry> queue = s.CanonicalQueue();
@@ -768,17 +811,22 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
     }
   } else if (io.ok() && stored.generated) {
     s.MaterializeTrace(std::nullopt);
-    if (s.trace->size() != stored.length || s.trace_fnv != stored.fnv) {
+    if (s.trace->size() != stored.length || s.TraceFnv() != stored.fnv) {
       io.Fail("snapshot's elided arrival trace cannot be regenerated: the "
               "generator produced " +
               std::to_string(s.trace->size()) + " arrivals, snapshot recorded " +
               std::to_string(stored.length) + " (checksum " +
-              (s.trace_fnv == stored.fnv ? "matches" : "differs") + ")");
+              (s.TraceFnv() == stored.fnv ? "matches" : "differs") + ")");
     }
   } else if (io.ok()) {
-    s.MaterializeTrace(std::move(stored.inlined));
-    if (s.trace_fnv != stored.fnv) {
-      io.Fail("snapshot's inlined arrival trace fails its checksum");
+    const std::string invalid = ValidateTrace(stored.inlined);
+    if (!invalid.empty()) {
+      io.Fail("snapshot's inlined arrival trace is invalid: " + invalid);
+    } else {
+      s.MaterializeTrace(std::move(stored.inlined));
+      if (s.TraceFnv() != stored.fnv) {
+        io.Fail("snapshot's inlined arrival trace fails its checksum");
+      }
     }
   }
 

@@ -45,7 +45,9 @@ struct SimInspectView {
   double now_s = 0.0;
   double duration_s = 0.0;
   int64_t events_executed = 0;
-  int64_t pending_events = 0;  // still queued (including past the horizon)
+  // Events not yet run, past the horizon included: the queued ones plus
+  // the trace arrivals the session has not reached.
+  int64_t pending_events = 0;
   int64_t hosted_vms = 0;
   double utilization = 0.0;
   double overcommitment = 0.0;
@@ -95,9 +97,15 @@ class SimSession {
     SloOverride slo;
   };
 
-  // Builds the session and schedules the whole run (fault timeline, trace
-  // arrivals, sampling and reinflation ticks) without executing anything:
-  // the clock is at 0 until the first Step*. Fails on an invalid config.
+  // Builds the session and schedules the whole run (fault timeline,
+  // sampling and reinflation ticks) without executing anything: the clock
+  // is at 0 until the first Step*. Arrivals are not queued: the session
+  // reads them from its sorted trace as the clock reaches them, and it
+  // checksums the trace only when something first reads the checksum
+  // (SnapshotBytes, generated_trace), so Open costs the trace's generation
+  // or validation and nothing more per arrival. Fails on an invalid config,
+  // including an explicit trace that breaks TraceEventError's rules (the
+  // error names the first bad event).
   static Result<SimSession> Open(const ClusterSimConfig& config);
 
   // Rebuilds a session from Snapshot() output. Corrupted, truncated, or
@@ -162,6 +170,8 @@ class SimSession {
   const ClusterSimConfig& config() const;
   // The session's trace when its config generated it (what
   // RestoreOptions::trace takes); events is null for an explicit trace.
+  // The first call may checksum the trace; like every call on one session,
+  // it must not race with another.
   SharedTrace generated_trace() const;
   // Deep access for tests and embedders; treat as read-only between steps.
   ClusterManager& manager();

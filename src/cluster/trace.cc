@@ -114,6 +114,36 @@ std::vector<TraceEvent> GenerateArrivalTrace(const TraceConfig& config,
                           : GenerateTrace(config);
 }
 
+const char* TraceEventError(const TraceEvent& event, double previous_arrival_s) {
+  if (!std::isfinite(event.arrival_s)) {
+    return "arrival time is not finite";
+  }
+  if (event.arrival_s < 0.0) {
+    return "arrival time is negative";
+  }
+  if (event.arrival_s < previous_arrival_s) {
+    return "arrivals not sorted";
+  }
+  if (!(event.lifetime_s > 0.0) || !std::isfinite(event.lifetime_s)) {
+    return "lifetime is not positive and finite";
+  }
+  if (!event.spec.min_size.AllLeq(event.spec.size)) {
+    return "min size exceeds size";
+  }
+  return nullptr;
+}
+
+std::string ValidateTrace(const std::vector<TraceEvent>& trace) {
+  double previous_arrival_s = 0.0;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (const char* reason = TraceEventError(trace[i], previous_arrival_s)) {
+      return "event " + std::to_string(i) + ": " + reason;
+    }
+    previous_arrival_s = trace[i].arrival_s;
+  }
+  return "";
+}
+
 double MeanVmCpu(const TraceConfig& config) {
   double total_weight = 0.0;
   double weighted_cpu = 0.0;

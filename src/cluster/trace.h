@@ -66,6 +66,18 @@ std::vector<TraceEvent> GenerateDiurnalTrace(const TraceConfig& config,
 std::vector<TraceEvent> GenerateArrivalTrace(const TraceConfig& config,
                                              const ArrivalGenConfig& arrivals);
 
+// Why `event` cannot follow an arrival at `previous_arrival_s` in a trace,
+// or null if it can. A trace replays in arrival order from t = 0, so an
+// arrival time must be finite, non-negative and not before the previous
+// one; a lifetime must be positive and finite, and the minimum size must
+// fit within the size. The first event's previous arrival is 0.
+const char* TraceEventError(const TraceEvent& event, double previous_arrival_s);
+
+// "event <index>: <reason>" for the first event of `trace` that breaks
+// TraceEventError's rules; "" for a valid trace. The CSV loader applies
+// the same rules row by row.
+std::string ValidateTrace(const std::vector<TraceEvent>& trace);
+
 // Mean offered load of a config against a cluster: arrival_rate * E[lifetime]
 // * E[vm dominant share] / cluster capacity. Used to derive the arrival rate
 // for a target overcommitment level (the Figure 8c x-axis).

@@ -22,8 +22,8 @@ std::vector<std::string> SplitCsv(const std::string& line) {
   return fields;
 }
 
-// Parses one non-comment record line; enforces field shape and per-event
-// validity plus the sorted-arrival invariant against last_arrival.
+// Parses one non-comment record line; enforces field shape and the rules
+// every trace event keeps (TraceEventError) against last_arrival.
 Result<TraceEvent> ParseRecord(const std::string& line, int line_no,
                                double last_arrival) {
   const std::vector<std::string> fields = SplitCsv(line);
@@ -54,11 +54,8 @@ Result<TraceEvent> ParseRecord(const std::string& line, int line_no,
   }
   event.spec.size = ResourceVector(numbers[2], numbers[3], numbers[4], numbers[5]);
   event.spec.min_size = ResourceVector(numbers[6], numbers[7], numbers[8], numbers[9]);
-  if (event.arrival_s < last_arrival) {
-    return Error{"line " + std::to_string(line_no) + ": arrivals not sorted"};
-  }
-  if (event.lifetime_s <= 0.0 || !event.spec.min_size.AllLeq(event.spec.size)) {
-    return Error{"line " + std::to_string(line_no) + ": invalid event"};
+  if (const char* reason = TraceEventError(event, last_arrival)) {
+    return Error{"line " + std::to_string(line_no) + ": " + reason};
   }
   return event;
 }
@@ -88,7 +85,7 @@ Result<std::vector<TraceEvent>> ReadTraceCsv(std::istream& in) {
   std::vector<TraceEvent> trace;
   std::string line;
   int line_no = 0;
-  double last_arrival = -1.0;
+  double last_arrival = 0.0;
   while (std::getline(in, line)) {
     ++line_no;
     // WriteTraceCsv terminates every record with '\n', so content that runs

@@ -23,7 +23,8 @@ namespace defl {
 std::string TraceToCsv(const std::vector<TraceEvent>& trace);
 void WriteTraceCsv(const std::vector<TraceEvent>& trace, std::ostream& out);
 
-// Parses a CSV trace. Events must be sorted by arrival time (verified).
+// Parses a CSV trace. Every row must keep TraceEventError's rules (sorted,
+// non-negative arrivals among them); an error names the first bad line.
 Result<std::vector<TraceEvent>> ParseTraceCsv(const std::string& text);
 Result<std::vector<TraceEvent>> ReadTraceCsv(std::istream& in);
 

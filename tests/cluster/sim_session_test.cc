@@ -4,11 +4,17 @@
 // snapshot/restore cycle must be byte-invisible in the telemetry exports,
 // and corrupted or truncated snapshots must fail Restore with a descriptive
 // error -- never a crash or a half-restored session. A restore handed a
-// shared trace adopts it only if it is the snapshot's.
+// shared trace adopts it only if it is the snapshot's. Arrivals leave the
+// trace through a cursor merged with the event heap, so same-instant
+// stragglers, a pending arrival behind a heap past the horizon, and the
+// pending-event count are pinned here too, as is the trace validation
+// Open and restore share with the CSV loader.
 #include "src/cluster/sim_session.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -45,6 +51,26 @@ std::string Export(const TelemetryContext& telemetry) {
   os << "\n";
   telemetry.trace().DumpJsonl(os);
   return os.str();
+}
+
+// Overwrites the 8 little-endian bytes at `offset`.
+void PutU64(std::string& bytes, size_t offset, uint64_t value) {
+  for (size_t i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<char>(value >> (8 * i));
+  }
+}
+
+uint64_t GetU64(const std::string& bytes, size_t offset) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    value |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[offset + i])) << (8 * i);
+  }
+  return value;
+}
+
+// Recomputes a snapshot's integrity footer over everything before it.
+void Reseal(std::string& bytes) {
+  PutU64(bytes, bytes.size() - 8, SnapshotFnv1a64(bytes.data(), bytes.size() - 8));
 }
 
 std::string UninterruptedExport(const ClusterSimConfig& base) {
@@ -308,6 +334,244 @@ TEST(SimSessionTest, ExplicitTraceMovesIntoTheSession) {
   EXPECT_TRUE(restored.value().config().explicit_trace.empty());
   EXPECT_EQ(restored.value().generated_trace().events, nullptr);
   EXPECT_EQ(restored.value().SnapshotBytes(), bytes);
+}
+
+TEST(SimSessionTest, OpenRejectsAnInvalidExplicitTraceNamingTheFirstBadEvent) {
+  const std::vector<TraceEvent> valid = GenerateTrace(SmallSim().trace);
+  ASSERT_GT(valid.size(), 4u);
+  struct Case {
+    size_t index;
+    void (*damage)(TraceEvent&);
+    std::string reason;
+  };
+  const Case cases[] = {
+      {0, [](TraceEvent& e) { e.arrival_s = -0.5; }, "arrival time is negative"},
+      {2, [](TraceEvent& e) { e.arrival_s = std::nan(""); }, "arrival time is not finite"},
+      {3, [](TraceEvent& e) { e.arrival_s = 0.0; }, "arrivals not sorted"},
+      {1, [](TraceEvent& e) { e.lifetime_s = 0.0; }, "lifetime is not positive"},
+      {2, [](TraceEvent& e) { e.spec.min_size = e.spec.size * 2.0; },
+       "min size exceeds size"},
+  };
+  for (const Case& c : cases) {
+    ClusterSimConfig config = SmallSim();
+    config.explicit_trace = valid;
+    c.damage(config.explicit_trace[c.index]);
+    // A later bad event does not hide the first.
+    config.explicit_trace.back().lifetime_s = -1.0;
+    const Result<SimSession> session = SimSession::Open(config);
+    ASSERT_FALSE(session.ok()) << c.reason;
+    EXPECT_NE(session.error().find("explicit_trace event " + std::to_string(c.index) +
+                                   ": " + c.reason),
+              std::string::npos)
+        << session.error();
+  }
+}
+
+TEST(SimSessionTest, RestoreRejectsAnInlinedTraceWithANegativeArrival) {
+  ClusterSimConfig config = SmallSim();
+  config.explicit_trace = GenerateTrace(config.trace);
+  ASSERT_FALSE(config.explicit_trace.empty());
+  std::vector<TraceEvent> events = config.explicit_trace;
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  const std::string bytes = session.value().SnapshotBytes();
+
+  // The trace section follows the header and the config section: the
+  // generated bit, the length, the checksum, then event 0's arrival time.
+  SnapshotWriter writer;
+  SnapshotEncoder io(writer);
+  Transfer(io, session.value().config());
+  const size_t trace_at = writer.Finish().size() - 8;
+  const size_t fnv_at = trace_at + 1 + 8;
+  const size_t arrival_at = fnv_at + 8;
+  ASSERT_EQ(GetU64(bytes, fnv_at), TraceChecksum(events));
+  ASSERT_EQ(GetU64(bytes, arrival_at), std::bit_cast<uint64_t>(events[0].arrival_s));
+
+  // Re-checksummed and resealed, so only the trace rules can object.
+  const auto with_first_arrival = [&](double arrival_s) {
+    events[0].arrival_s = arrival_s;
+    std::string patched = bytes;
+    PutU64(patched, arrival_at, std::bit_cast<uint64_t>(arrival_s));
+    PutU64(patched, fnv_at, TraceChecksum(events));
+    Reseal(patched);
+    return SimSession::RestoreView(patched, {});
+  };
+  const Result<SimSession> earlier = with_first_arrival(events[0].arrival_s / 2.0);
+  ASSERT_TRUE(earlier.ok()) << earlier.error();
+  const Result<SimSession> negative = with_first_arrival(-0.5);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_NE(negative.error().find("inlined arrival trace is invalid: event 0: "
+                                  "arrival time is negative"),
+            std::string::npos)
+      << negative.error();
+}
+
+TEST(SimSessionTest, NotDoneWhileAnArrivalIsDueBeforeEveryHeapEntry) {
+  ClusterSimConfig config = SmallSim();
+  config.trace.duration_s = 1000.0;
+  config.sample_period_s = 5000.0;  // the only tick lies past the horizon
+  config.reinflate_period_s = 0.0;
+  VmSpec spec;
+  spec.name = "vm-0";
+  spec.size = ResourceVector(4.0, 16384.0, 100.0, 500.0);
+  spec.min_size = spec.size * 0.5;
+  config.explicit_trace = {TraceEvent{100.0, 4000.0, spec}};
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  SimSession& sim = session.value();
+  EXPECT_FALSE(sim.done());
+  EXPECT_EQ(sim.Inspect().pending_events, 2);  // the tick and the arrival
+
+  // So is a restore of it.
+  Result<SimSession> restored = SimSession::RestoreView(sim.SnapshotBytes(), {});
+  ASSERT_TRUE(restored.ok()) << restored.error();
+  EXPECT_FALSE(restored.value().done());
+  EXPECT_EQ(restored.value().Inspect().pending_events, 2);
+
+  EXPECT_EQ(sim.StepEvents(10), 1);
+  EXPECT_EQ(sim.now(), 100.0);
+  EXPECT_TRUE(sim.done());
+  EXPECT_EQ(sim.Inspect().pending_events, 2);  // the tick and the completion
+  EXPECT_EQ(sim.Inspect().hosted_vms, 1);
+}
+
+// A fault event, four arrivals and both ticks all at t = 600 s.
+ClusterSimConfig SameInstantSim() {
+  ClusterSimConfig config = SmallSim();
+  config.trace.duration_s = 3600.0;
+  for (int i = 0; i < 48; ++i) {
+    TraceEvent event;
+    event.arrival_s = 300.0 * (i / 4);
+    event.lifetime_s = 900.0 + 100.0 * (i % 5);
+    event.spec.name = "vm-" + std::to_string(i);
+    event.spec.priority = i % 3 == 0 ? VmPriority::kHigh : VmPriority::kLow;
+    event.spec.size = ResourceVector(16.0, 64.0 * 1024.0, 200.0, 1000.0);
+    event.spec.min_size = event.spec.size * 0.25;
+    config.explicit_trace.push_back(event);
+  }
+  FaultRule crash;
+  crash.kind = FaultKind::kServerCrash;
+  crash.server = 3;
+  crash.start_s = 600.0;
+  FaultRule recover = crash;
+  recover.kind = FaultKind::kServerRecover;
+  recover.start_s = 1500.0;
+  config.fault_plan.rules = {crash, recover};
+  return config;
+}
+
+TEST(SimSessionTest, RestoreAtEveryEventOfOneInstantIsByteInvisible) {
+  std::string expected_export;
+  std::string expected_final;
+  {
+    ClusterSimConfig config = SameInstantSim();
+    TelemetryContext telemetry;
+    config.telemetry = &telemetry;
+    Result<SimSession> session = SimSession::Open(config);
+    ASSERT_TRUE(session.ok()) << session.error();
+    session.value().Finish();
+    expected_export = Export(telemetry);
+    expected_final = session.value().SnapshotBytes();
+  }
+
+  ClusterSimConfig config = SameInstantSim();
+  TelemetryContext telemetry;
+  config.telemetry = &telemetry;
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  SimSession& sim = session.value();
+  sim.StepUntil(599.0);
+  int snapshots_at_instant = 0;
+  while (sim.now() <= 600.0) {
+    const std::string bytes = sim.SnapshotBytes();
+    const int64_t pending = sim.Inspect().pending_events;
+    snapshots_at_instant += sim.now() == 600.0 ? 1 : 0;
+
+    TelemetryContext resumed;
+    SimSession::RestoreOptions options;
+    options.telemetry = &resumed;
+    Result<SimSession> restored = SimSession::RestoreView(bytes, options);
+    ASSERT_TRUE(restored.ok()) << "at event " << sim.events_executed() << ": "
+                               << restored.error();
+    EXPECT_EQ(restored.value().Inspect().pending_events, pending)
+        << "at event " << sim.events_executed();
+    EXPECT_EQ(restored.value().SnapshotBytes(), bytes)
+        << "at event " << sim.events_executed();
+    restored.value().Finish();
+    EXPECT_EQ(Export(resumed), expected_export) << "at event " << sim.events_executed();
+    EXPECT_EQ(restored.value().SnapshotBytes(), expected_final)
+        << "at event " << sim.events_executed();
+    ASSERT_EQ(sim.StepEvents(1), 1);
+  }
+  // One snapshot after each of the seven events at 600 s.
+  EXPECT_EQ(snapshots_at_instant, 7);
+  sim.Finish();
+  EXPECT_EQ(Export(telemetry), expected_export);
+  EXPECT_EQ(sim.SnapshotBytes(), expected_final);
+}
+
+TEST(SimSessionTest, RestoreRejectsAListedArrivalTheCursorOwns) {
+  Result<SimSession> session = SimSession::Open(SameInstantSim());
+  ASSERT_TRUE(session.ok()) << session.error();
+  session.value().StepUntil(599.0);
+  ASSERT_EQ(session.value().StepEvents(1), 1);  // the fault event at 600 s
+  const std::string bytes = session.value().SnapshotBytes();
+
+  // The image lists arrival 8, due at 600 s, with seq = |fault timeline| + 8
+  // (the crash and the recovery make two fault events).
+  std::string entry(8 + 8 + 1 + 8, '\0');
+  PutU64(entry, 0, std::bit_cast<uint64_t>(600.0));
+  PutU64(entry, 8, 2 + 8);
+  entry[16] = static_cast<char>(SimEventKind::kVmArrival);
+  PutU64(entry, 17, 8);
+  const size_t at = bytes.find(entry);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(entry, at + 1), std::string::npos);
+
+  // Listing arrival 47 (due at 3300 s) instead would run it twice: once
+  // from the heap and once from the cursor.
+  std::string patched = bytes;
+  PutU64(patched, at + 17, 47);
+  Reseal(patched);
+  const Result<SimSession> restored = SimSession::RestoreView(patched, {});
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.error().find("payload 47 is out of range"), std::string::npos)
+      << restored.error();
+}
+
+TEST(SimSessionTest, GeneratedTraceChecksumIsTheTraces) {
+  Result<SimSession> session = SimSession::Open(SmallSim());
+  ASSERT_TRUE(session.ok()) << session.error();
+  const SimSession::SharedTrace trace = session.value().generated_trace();
+  ASSERT_NE(trace.events, nullptr);
+  EXPECT_EQ(trace.fnv, TraceChecksum(*trace.events));
+}
+
+TEST(SimSessionTest, ReTaggedChildSnapshotsItsOwnTraceChecksum) {
+  Result<SimSession> session = SimSession::Open(SmallSim());
+  ASSERT_TRUE(session.ok()) << session.error();
+  session.value().StepUntil(1800.0);
+  const std::string bytes = session.value().SnapshotBytes();
+  const SimSession::SharedTrace shared = session.value().generated_trace();
+
+  // The child adopts the shared trace with its checksum, then re-tags a
+  // private one; the checksum it snapshots must be the re-tagged trace's.
+  SimSession::RestoreOptions options;
+  options.trace = shared;
+  options.slo.active = true;
+  options.slo.fraction = 0.5;
+  Result<SimSession> child = SimSession::RestoreView(bytes, options);
+  ASSERT_TRUE(child.ok()) << child.error();
+  const std::string child_bytes = child.value().SnapshotBytes();
+  const SimSession::SharedTrace retagged = child.value().generated_trace();
+  ASSERT_NE(retagged.events, shared.events);
+  EXPECT_NE(retagged.fnv, shared.fnv);
+  EXPECT_EQ(retagged.fnv, TraceChecksum(*retagged.events));
+
+  Result<SimSession> again = SimSession::RestoreView(child_bytes, {});
+  ASSERT_TRUE(again.ok()) << again.error();
+  EXPECT_EQ(again.value().generated_trace().fnv, retagged.fnv);
+  EXPECT_EQ(again.value().SnapshotBytes(), child_bytes);
 }
 
 }  // namespace

@@ -72,6 +72,17 @@ TEST(TraceIoTest, RejectsUnsortedArrivals) {
   EXPECT_NE(parsed.error().find("not sorted"), std::string::npos);
 }
 
+// A replay starts its clock at 0: an earlier first arrival would step the
+// clock back.
+TEST(TraceIoTest, RejectsArrivalsBeforeTimeZero) {
+  const Result<std::vector<TraceEvent>> parsed = ParseTraceCsv(
+      "-0.5,600,vm-a,low,4,16384,100,500,1,4096,25,125\n"
+      "0,600,vm-b,low,4,16384,100,500,1,4096,25,125\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error(), "line 1: arrival time is negative");
+  ASSERT_TRUE(ParseTraceCsv("0,600,vm-a,low,4,16384,100,500,1,4096,25,125\n").ok());
+}
+
 TEST(TraceIoTest, ErrorsNameTheLine) {
   const std::string text =
       "10,600,vm-a,low,4,16384,100,500,1,4096,25,125\n"

@@ -11,6 +11,9 @@
 #   3. slo queries and the shipped batch on a mid-run interactive-serving
 #      snapshot, whose children share an interactive-tagged trace, are
 #      byte-identical at workers 1 vs 8.
+#   4. A trace-file replay, whose snapshot inlines its trace so every child
+#      decodes its own: the shipped batch is byte-identical at workers 1 vs
+#      8, and an slo query that would re-tag the trace says it cannot.
 #
 # Usage: whatif_determinism_smoke.sh <deflation_sim> <deflation_server> \
 #            <work_dir> <examples_dir>
@@ -107,6 +110,30 @@ grep -q '"violation_rate"' slo_w1.jsonl
 cmp slo_batch_w1.jsonl slo_batch_w8.jsonl
 if grep -q '"error"' slo_batch_w1.jsonl; then
   echo "shipped batch failed on the interactive snapshot" >&2
+  exit 1
+fi
+
+# --- 4. A replayed trace, inlined in the snapshot ---
+"$SIM" --servers=10 --workload=h6.workload --save-trace=h6.csv > /dev/null
+cat > replay.workload <<'EOF'
+duration-h = 6
+load = 1.5
+trace-file = h6.csv
+EOF
+"$SIM" --servers=10 --workload=replay.workload \
+  --stop-after-h=3 --snapshot-out=replay.snap > /dev/null
+
+"$SERVER" --snapshot=replay.snap --queries="$EXAMPLES/whatif_queries.q" \
+  --workers=1 --out=replay_w1.jsonl 2> /dev/null
+"$SERVER" --snapshot=replay.snap --queries="$EXAMPLES/whatif_queries.q" \
+  --workers=8 --out=replay_w8.jsonl 2> /dev/null
+cmp replay_w1.jsonl replay_w8.jsonl
+
+echo 'slo fraction=0.5 hours=1' > retag.q
+"$SERVER" --snapshot=replay.snap --queries=retag.q \
+  --workers=1 --out=retag.jsonl 2> /dev/null
+if ! grep -q 'cannot re-tag an explicit trace' retag.jsonl; then
+  echo "slo fraction= on a replayed trace did not refuse to re-tag it" >&2
   exit 1
 fi
 
