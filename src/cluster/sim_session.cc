@@ -12,6 +12,7 @@
 #include "src/cluster/predictor.h"
 #include "src/cluster/session_codec.h"
 #include "src/cluster/slo_controller.h"
+#include "src/common/cadence.h"
 #include "src/faults/fault_injector.h"
 #include "src/hypervisor/vm.h"
 #include "src/sim/snapshot_io.h"
@@ -96,6 +97,15 @@ Result<bool> ValidateConfig(const ClusterSimConfig& config) {
   return true;
 }
 
+// The config's generated trace, tagged with its interactive mix.
+std::vector<TraceEvent> GenerateSessionTrace(const ClusterSimConfig& config) {
+  std::vector<TraceEvent> events = GenerateArrivalTrace(config.trace, config.arrivals);
+  if (config.interactive.enabled) {
+    ApplyInteractiveMix(events, config.interactive);
+  }
+  return events;
+}
+
 }  // namespace
 
 // Everything a running session owns. The address is pinned inside the
@@ -113,10 +123,9 @@ struct SimSession::State {
   std::vector<FaultInjector::ServerEvent> fault_events;
   // The materialized arrival trace; VmId == index. Inlined into snapshots
   // only when it was handed in explicitly -- a config-generated trace is
-  // regenerated (or adopted from RestoreOptions::trace) on restore and only
-  // its length + checksum are serialized, keeping checkpoint I/O
-  // proportional to live state, not trace length. Never written once set:
-  // it may be shared with other sessions.
+  // regenerated by Decode and only its length + checksum are serialized,
+  // keeping checkpoint I/O proportional to live state, not trace length.
+  // Never written once set: it may be shared with other sessions.
   std::shared_ptr<const std::vector<TraceEvent>> trace;
   bool trace_generated = false;
   // TraceChecksum(*trace), taken on first read (TraceFnv) and kept until
@@ -143,7 +152,7 @@ struct SimSession::State {
   SessionClock clock;
   // Binary heap under LaterEntry of every pending event but the cursor's
   // arrivals: completions, ticks, fault events, and same-instant arrivals
-  // a restored snapshot listed (RestoreQueue).
+  // a restored snapshot listed (DecodeQueue).
   std::vector<QueueEntry> queue;
   double dt_hours = 0.0;
   std::vector<ClusterManager::ServerUsageSample> usage_samples;  // scratch
@@ -154,21 +163,16 @@ struct SimSession::State {
     }
   }
 
-  // Sets a private arrival trace, for Open, Restore and the SLO override
-  // alike. An `adopted` (explicit) trace is authoritative: VMs it already
-  // names "web*" are interactive, nothing is re-tagged. Otherwise the
-  // config's generator runs and the interactive mix is tagged. The
-  // checksum is left for its first reader; it covers the tags, so a restore
-  // that regenerates and re-tags with the snapshotted mix can verify
-  // against it.
+  // Sets a private arrival trace, for Open and the SLO override. An
+  // `adopted` (explicit) trace is authoritative: VMs it already names
+  // "web*" are interactive, nothing is re-tagged. Otherwise the config's
+  // generator runs and the interactive mix is tagged. The checksum is left
+  // for its first reader; it covers the tags, so a restore that regenerates
+  // and re-tags with the snapshotted mix can verify against it.
   void MaterializeTrace(std::optional<std::vector<TraceEvent>> adopted) {
     trace_generated = !adopted.has_value();
     std::vector<TraceEvent> events =
-        trace_generated ? GenerateArrivalTrace(config.trace, config.arrivals)
-                        : std::move(*adopted);
-    if (trace_generated && config.interactive.enabled) {
-      ApplyInteractiveMix(events, config.interactive);
-    }
+        trace_generated ? GenerateSessionTrace(config) : std::move(*adopted);
     trace_fnv.reset();
     trace = std::make_shared<const std::vector<TraceEvent>>(std::move(events));
   }
@@ -356,61 +360,6 @@ struct SimSession::State {
     return entries;
   }
 
-  // Takes a snapshot's queue image, bounding each payload so a logically
-  // inconsistent snapshot cannot index out of range later (the checksum
-  // only protects against corruption), then sets the cursor to the first
-  // arrival after `now` (see CanonicalQueue). The image's arrivals stay
-  // heap entries; each must be due by `now`, so the cursor never reaches
-  // one of them.
-  void RestoreQueue(SnapshotDecoder& io, std::vector<QueueEntry> entries) {
-    for (const QueueEntry& entry : entries) {
-      bool payload_ok = true;
-      switch (entry.kind) {
-        case SimEventKind::kFaultEvent:
-          payload_ok = entry.payload >= 0 &&
-                       static_cast<size_t>(entry.payload) < fault_events.size();
-          break;
-        case SimEventKind::kMarkHealthy:
-          payload_ok = entry.payload >= 0 && entry.payload < config.num_servers;
-          break;
-        case SimEventKind::kVmArrival:
-          payload_ok = entry.payload >= 0 &&
-                       static_cast<size_t>(entry.payload) < trace->size() &&
-                       (*trace)[static_cast<size_t>(entry.payload)].arrival_s <=
-                           clock.now;
-          break;
-        case SimEventKind::kVmCompletion:
-          payload_ok = entry.payload >= 0 &&
-                       static_cast<size_t>(entry.payload) < trace->size();
-          break;
-        case SimEventKind::kSloTick:
-          // An SLO tick without the interactive config is inconsistent (its
-          // reschedule would divide by a zero period).
-          if (!config.interactive.enabled) {
-            io.Fail("snapshot queues an SLO tick but interactive serving is "
-                    "disabled in its config");
-          }
-          break;
-        default:
-          break;
-      }
-      if (!payload_ok) {
-        io.Fail("snapshot queue entry payload " + std::to_string(entry.payload) +
-                " is out of range for its event kind");
-      }
-      if (!io.ok()) {
-        return;
-      }
-    }
-    queue = std::move(entries);
-    std::make_heap(queue.begin(), queue.end(), LaterEntry{});
-    const double now = clock.now;
-    next_arrival = static_cast<size_t>(
-        std::partition_point(trace->begin(), trace->end(),
-                             [now](const TraceEvent& e) { return e.arrival_s <= now; }) -
-        trace->begin());
-  }
-
   ManagerImage SaveManager() const {
     ManagerImage image;
     image.rng = manager->SaveRngState();
@@ -430,34 +379,26 @@ struct SimSession::State {
     return image;
   }
 
-  void RestoreManager(SnapshotDecoder& io, ManagerImage image) {
+  // Reinstates the image's fleet: RNG words, health, pending preemptions,
+  // and each VM exactly as it was -- direct state injection, no
+  // TryUnplug/HvReclaim replay (those would consume RNG/fault draws the
+  // snapshotting run already took). Adoption in (server, hosting) order
+  // replays the admission order, so per-server accounting caches recompute
+  // to the exact same folds. Decode checked the health and server counts.
+  void RestoreManager(const ManagerImage& image) {
     manager->RestoreRngState(image.rng);
-    if (!manager->RestoreHealthStates(image.health)) {
-      io.Fail("snapshot has " + std::to_string(image.health.size()) +
-              " server health entries for " + std::to_string(config.num_servers) +
-              " servers");
-      return;
-    }
-    manager->RestorePreempted(std::move(image.preempted));
-    if (image.servers.size() != static_cast<size_t>(config.num_servers)) {
-      io.Fail("snapshot has " + std::to_string(image.servers.size()) +
-              " server sections for " + std::to_string(config.num_servers) +
-              " servers");
-      return;
-    }
-    // Reinstate each VM exactly as it was -- direct state injection, no
-    // TryUnplug/HvReclaim replay (those would consume RNG/fault draws the
-    // snapshotting run already took). Adoption in (server, hosting) order
-    // replays the admission order, so per-server accounting caches
-    // recompute to the exact same folds.
+    const bool health_restored = manager->RestoreHealthStates(image.health);
+    assert(health_restored);
+    (void)health_restored;
+    manager->RestorePreempted(image.preempted);
     size_t vms = 0;
     for (const std::vector<HostedVmImage>& hosted : image.servers) {
       vms += hosted.size();
     }
     manager->ReserveVmIndex(vms);
     for (size_t server = 0; server < image.servers.size(); ++server) {
-      for (HostedVmImage& hosted : image.servers[server]) {
-        auto vm = std::make_unique<Vm>(hosted.id, std::move(hosted.spec));
+      for (const HostedVmImage& hosted : image.servers[server]) {
+        auto vm = std::make_unique<Vm>(hosted.id, hosted.spec);
         vm->guest_os().set_app_used_mb(hosted.app_used_mb);
         vm->guest_os().set_page_cache_mb(hosted.page_cache_mb);
         vm->guest_os().set_pinned_cpus(static_cast<int>(hosted.pinned_cpus));
@@ -468,16 +409,15 @@ struct SimSession::State {
     }
   }
 
-  // The SLO override (DESIGN.md §16) applies only after the full parse: the
-  // trace checksum was verified against the ORIGINAL config's mix, and the
-  // registry import needed the snapshot's exact layout. Enabling interactive
-  // serving here appends the slo/* metrics to the registry tail -- the same
-  // position BuildCore gives them -- and re-tags a private regenerated trace
-  // (a shared one stays as it is), so only future arrivals change;
-  // already-placed VMs keep their specs. An explicit trace is authoritative
-  // and keeps its own "web*" tags.
-  void ApplySloOverride(SnapshotDecoder& io,
-                        const RestoreOptions::SloOverride& slo_override) {
+  // The SLO override (DESIGN.md §16) applies last: the trace checksum was
+  // verified against the ORIGINAL config's mix, and the registry import
+  // needed the snapshot's exact layout. Enabling interactive serving here
+  // appends the slo/* metrics to the registry tail -- the same position
+  // BuildCore gives them -- and re-tags a private regenerated trace (the
+  // Image's stays as it is), so only future arrivals change; already-placed
+  // VMs keep their specs. An explicit trace is authoritative and keeps its
+  // own "web*" tags.
+  Result<bool> ApplySloOverride(const RestoreOptions::SloOverride& slo_override) {
     const bool was_enabled = config.interactive.enabled;
     InteractiveSloConfig& mix = config.interactive;
     mix.enabled = true;
@@ -495,33 +435,52 @@ struct SimSession::State {
     }
     const Result<bool> still_valid = ValidateConfig(config);
     if (!still_valid.ok()) {
-      io.Fail("slo override yields an invalid config: " + still_valid.error());
-      return;
+      return Error{"slo override yields an invalid config: " + still_valid.error()};
     }
     if (trace_generated && (slo_override.fraction >= 0.0 || !was_enabled)) {
       MaterializeTrace(std::nullopt);
     } else if (slo_override.fraction >= 0.0) {
-      io.Fail("slo override cannot re-tag an explicit trace (no generator "
-              "to rerun); it tags by the \"web\" name prefix only");
-      return;
+      return Error{"slo override cannot re-tag an explicit trace (no generator "
+                   "to rerun); it tags by the \"web\" name prefix only"};
     }
     if (!was_enabled) {
       slo.RegisterMetrics(telemetry->metrics());
       Push(NextPeriodicFire(clock.now, mix.control_period_s), SimEventKind::kSloTick, 0);
     }
+    return true;
   }
+};
+
+// Every section of a snapshot, decoded and checked against everything the
+// bytes alone decide (Decode). Build copies the live state out of it and
+// shares the trace; nothing writes it.
+struct SimSession::Image {
+  ClusterSimConfig config;
+  // Verified against the stored length and checksum (trace_fnv). Shared by
+  // every session built from the image, generated or inlined.
+  std::shared_ptr<const std::vector<TraceEvent>> trace;
+  bool trace_generated = false;
+  uint64_t trace_fnv = 0;
+  SessionClock clock;
+  // The queue image as a heap under LaterEntry, and the cursor past it.
+  std::vector<QueueEntry> queue;
+  size_t next_arrival = 0;
+  ManagerImage manager;
+  std::optional<FaultInjector::State> injector;
+  EwmaPredictor predictor;
+  TelemetrySection<std::vector<TraceEventRecord>> telemetry;
 };
 
 namespace {
 
-// Construction shared by Open and Restore: telemetry binding, manager,
-// fault injector, and metric registration, in the exact order the original
-// RunClusterSim used -- reproducing it is what makes the registry layout
-// (and hence DumpJson output and snapshot import) identical across runs.
-std::unique_ptr<SimSession::State> BuildCore(const ClusterSimConfig& config,
+// Construction shared by Open and Build, over a state that holds its
+// config: telemetry binding, manager, fault injector, and metric
+// registration, in the exact order the original RunClusterSim used --
+// reproducing it is what makes the registry layout (and hence DumpJson
+// output and snapshot import) identical across runs.
+std::unique_ptr<SimSession::State> BuildCore(std::unique_ptr<SimSession::State> state,
                                              TelemetryContext* telemetry_override) {
-  auto state = std::make_unique<SimSession::State>();
-  state->config = config;
+  const ClusterSimConfig& config = state->config;
   state->predictor = EwmaPredictor(config.predictor_alpha);
   state->dt_hours = config.sample_period_s / 3600.0;
 
@@ -568,6 +527,132 @@ std::unique_ptr<SimSession::State> BuildCore(const ClusterSimConfig& config,
   return state;
 }
 
+// A snapshot's own cadences are bounded like a run's flags (cadence.h):
+// every what-if child of it simulates on with them.
+Result<bool> CheckSnapshotCadences(const ClusterSimConfig& config) {
+  const std::pair<const char*, double> periods[] = {
+      {"sample_period_s", config.sample_period_s},
+      {"reinflate_period_s", config.reinflate_period_s},
+      {"interactive.control_period_s",
+       config.interactive.enabled ? config.interactive.control_period_s : 0.0},
+  };
+  for (const auto& [what, period_s] : periods) {
+    const Result<bool> cadence = CheckCadence(what, period_s, config.trace.duration_s);
+    if (!cadence.ok()) {
+      return cadence;
+    }
+  }
+  return true;
+}
+
+// Pending arrival events index into the trace, so it must be the one the
+// run used: a generated trace is rerun and must have the stored length and
+// checksum (a generator that drifted across builds fails the restore
+// instead of corrupting it); an inlined one must keep the trace rules and
+// match its checksum, and is never re-sampled.
+void DecodeTrace(SnapshotDecoder& io, StoredTrace stored, SimSession::Image& image) {
+  std::vector<TraceEvent> events;
+  if (stored.generated) {
+    events = GenerateSessionTrace(image.config);
+    const uint64_t fnv = TraceChecksum(events);
+    if (events.size() != stored.length || fnv != stored.fnv) {
+      io.Fail("snapshot's elided arrival trace cannot be regenerated: the "
+              "generator produced " +
+              std::to_string(events.size()) + " arrivals, snapshot recorded " +
+              std::to_string(stored.length) + " (checksum " +
+              (fnv == stored.fnv ? "matches" : "differs") + ")");
+      return;
+    }
+  } else {
+    const std::string invalid = ValidateTrace(stored.inlined);
+    if (!invalid.empty()) {
+      io.Fail("snapshot's inlined arrival trace is invalid: " + invalid);
+      return;
+    }
+    if (TraceChecksum(stored.inlined) != stored.fnv) {
+      io.Fail("snapshot's inlined arrival trace fails its checksum");
+      return;
+    }
+    events = std::move(stored.inlined);
+  }
+  image.trace = std::make_shared<const std::vector<TraceEvent>>(std::move(events));
+  image.trace_generated = stored.generated;
+  image.trace_fnv = stored.fnv;
+}
+
+// Takes a snapshot's queue image, bounding each payload so a logically
+// inconsistent snapshot cannot index out of range later (the footer only
+// protects against corruption), then sets the cursor to the first arrival
+// after `now` (see CanonicalQueue). The image's arrivals stay heap entries;
+// each must be due by `now`, so the cursor never reaches one of them.
+void DecodeQueue(SnapshotDecoder& io, std::vector<QueueEntry> entries,
+                 SimSession::Image& image) {
+  const ClusterSimConfig& config = image.config;
+  const std::vector<TraceEvent>& trace = *image.trace;
+  // ServerEventsFor is a pure function of the plan and the server count.
+  const size_t fault_events =
+      config.fault_plan.rules.empty()
+          ? 0
+          : FaultInjector(config.fault_plan).ServerEventsFor(config.num_servers).size();
+  for (const QueueEntry& entry : entries) {
+    bool payload_ok = true;
+    switch (entry.kind) {
+      case SimEventKind::kFaultEvent:
+        payload_ok =
+            entry.payload >= 0 && static_cast<size_t>(entry.payload) < fault_events;
+        break;
+      case SimEventKind::kMarkHealthy:
+        payload_ok = entry.payload >= 0 && entry.payload < config.num_servers;
+        break;
+      case SimEventKind::kVmArrival:
+        payload_ok =
+            entry.payload >= 0 && static_cast<size_t>(entry.payload) < trace.size() &&
+            trace[static_cast<size_t>(entry.payload)].arrival_s <= image.clock.now;
+        break;
+      case SimEventKind::kVmCompletion:
+        payload_ok =
+            entry.payload >= 0 && static_cast<size_t>(entry.payload) < trace.size();
+        break;
+      case SimEventKind::kSloTick:
+        // An SLO tick without the interactive config is inconsistent (its
+        // reschedule would divide by a zero period).
+        if (!config.interactive.enabled) {
+          io.Fail("snapshot queues an SLO tick but interactive serving is "
+                  "disabled in its config");
+          return;
+        }
+        break;
+      default:
+        break;
+    }
+    if (!payload_ok) {
+      io.Fail("snapshot queue entry payload " + std::to_string(entry.payload) +
+              " is out of range for its event kind");
+      return;
+    }
+  }
+  std::make_heap(entries.begin(), entries.end(), LaterEntry{});
+  image.queue = std::move(entries);
+  const double now = image.clock.now;
+  image.next_arrival = static_cast<size_t>(
+      std::partition_point(trace.begin(), trace.end(),
+                           [now](const TraceEvent& e) { return e.arrival_s <= now; }) -
+      trace.begin());
+}
+
+// One health entry and one server section per configured server.
+void CheckFleetShape(SnapshotDecoder& io, const SimSession::Image& image) {
+  const ManagerImage& manager = image.manager;
+  const std::string servers = std::to_string(image.config.num_servers);
+  if (manager.health.size() != static_cast<size_t>(image.config.num_servers)) {
+    io.Fail("snapshot has " + std::to_string(manager.health.size()) +
+            " server health entries for " + servers + " servers");
+  } else if (manager.servers.size() != static_cast<size_t>(image.config.num_servers)) {
+    io.Fail("snapshot has " + std::to_string(manager.servers.size()) +
+            " server sections for " + servers + " servers");
+  }
+}
+
 }  // namespace
 
 SimSession::SimSession(std::unique_ptr<State> state) : state_(std::move(state)) {}
@@ -580,7 +665,9 @@ Result<SimSession> SimSession::Open(const ClusterSimConfig& config) {
   if (!valid.ok()) {
     return Error{"invalid ClusterSimConfig: " + valid.error()};
   }
-  std::unique_ptr<State> state = BuildCore(config, nullptr);
+  auto state = std::make_unique<State>();
+  state->config = config;
+  state = BuildCore(std::move(state), nullptr);
   if (config.explicit_trace.empty()) {
     state->MaterializeTrace(std::nullopt);
   } else {
@@ -708,7 +795,7 @@ SimSession::SharedTrace SimSession::generated_trace() const {
   return {state_->trace, state_->TraceFnv()};
 }
 
-// The section order here and in RestoreView is the snapshot format
+// The section order here and in Decode is the snapshot format
 // (DESIGN.md §11); each section's fields are listed in session_codec.h.
 std::string SimSession::SnapshotBytes() const {
   const State& s = *state_;
@@ -759,19 +846,72 @@ Result<SimSession> SimSession::Restore(const std::string& path,
 
 Result<SimSession> SimSession::RestoreView(std::string_view bytes,
                                            const RestoreOptions& options) {
+  Result<std::shared_ptr<const Image>> image = Decode(bytes);
+  if (!image.ok()) {
+    return Error{image.error()};
+  }
+  return Build(*image.value(), options);
+}
+
+// Reads the sections in SnapshotBytes' order; each check runs once its
+// section is read, and the first failure is the error.
+Result<std::shared_ptr<const SimSession::Image>> SimSession::Decode(
+    std::string_view bytes) {
   Result<SnapshotReader> opened = SnapshotReader::OpenView(bytes);
   if (!opened.ok()) {
     return Error{opened.error()};
   }
   SnapshotReader& reader = opened.value();
   SnapshotDecoder io(reader);
+  auto image = std::make_shared<Image>();
+  Image& m = *image;
 
-  ClusterSimConfig config;
-  Transfer(io, config);
+  Transfer(io, m.config);
   if (!io.ok()) {
     return Error{io.error()};
   }
-  config.telemetry = nullptr;
+  Result<bool> valid = ValidateConfig(m.config);
+  if (valid.ok()) {
+    valid = CheckSnapshotCadences(m.config);
+  }
+  if (!valid.ok()) {
+    return Error{"snapshot carries an invalid config: " + valid.error()};
+  }
+
+  StoredTrace stored;
+  Transfer(io, stored);
+  if (io.ok()) {
+    DecodeTrace(io, std::move(stored), m);
+  }
+  Transfer(io, m.clock);
+  std::vector<QueueEntry> queue;
+  Transfer(io, queue);
+  if (io.ok()) {
+    DecodeQueue(io, std::move(queue), m);
+  }
+  Transfer(io, m.manager);
+  if (io.ok()) {
+    CheckFleetShape(io, m);
+  }
+  Transfer(io, m.injector);
+  if (io.ok() && m.injector.has_value() == m.config.fault_plan.rules.empty()) {
+    io.Fail("snapshot fault-injector presence does not match its fault plan");
+  }
+  m.predictor = EwmaPredictor(m.config.predictor_alpha);
+  Transfer(io, m.predictor);
+  Transfer(io, m.telemetry);
+  if (!io.ok()) {
+    return Error{io.error()};
+  }
+  if (!reader.AtEnd()) {
+    return Error{"snapshot has " + std::to_string(reader.Remaining()) +
+                 " unexpected trailing payload bytes"};
+  }
+  return std::shared_ptr<const Image>(std::move(image));
+}
+
+Result<SimSession> SimSession::Build(const Image& image, const RestoreOptions& options) {
+  ClusterSimConfig config = image.config;
   if (options.placement >= 0) {
     if (options.placement > static_cast<int>(PlacementPolicy::kTwoChoices)) {
       return Error{"placement override " + std::to_string(options.placement) +
@@ -781,104 +921,40 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
     }
     config.cluster.placement = static_cast<PlacementPolicy>(options.placement);
   }
-  const Result<bool> valid = ValidateConfig(config);
-  if (!valid.ok()) {
-    return Error{"snapshot carries an invalid config: " + valid.error()};
-  }
-
-  std::unique_ptr<State> state = BuildCore(config, options.telemetry);
+  auto state = std::make_unique<State>();
+  state->config = std::move(config);
+  state = BuildCore(std::move(state), options.telemetry);
   State& s = *state;
-
-  // Pending arrival events index into the trace, so it must be the one the
-  // run used: a generated trace is adopted from the caller or rerun, and
-  // must have the stored length and checksum (a generator that drifted
-  // across builds fails the restore instead of corrupting it); an inlined
-  // one must match its checksum and is never re-sampled.
-  StoredTrace stored;
-  Transfer(io, stored);
-  const SharedTrace& shared = options.trace;
-  if (io.ok() && stored.generated && shared.events != nullptr) {
-    if (shared.events->size() != stored.length || shared.fnv != stored.fnv) {
-      io.Fail("shared arrival trace does not match the snapshot's: shared " +
-              std::to_string(shared.events->size()) + " arrivals, checksum " +
-              Hex16(shared.fnv) + "; snapshot recorded " +
-              std::to_string(stored.length) + " arrivals, checksum " +
-              Hex16(stored.fnv));
-    } else {
-      s.trace = shared.events;
-      s.trace_generated = true;
-      s.trace_fnv = shared.fnv;
-    }
-  } else if (io.ok() && stored.generated) {
-    s.MaterializeTrace(std::nullopt);
-    if (s.trace->size() != stored.length || s.TraceFnv() != stored.fnv) {
-      io.Fail("snapshot's elided arrival trace cannot be regenerated: the "
-              "generator produced " +
-              std::to_string(s.trace->size()) + " arrivals, snapshot recorded " +
-              std::to_string(stored.length) + " (checksum " +
-              (s.TraceFnv() == stored.fnv ? "matches" : "differs") + ")");
-    }
-  } else if (io.ok()) {
-    const std::string invalid = ValidateTrace(stored.inlined);
-    if (!invalid.empty()) {
-      io.Fail("snapshot's inlined arrival trace is invalid: " + invalid);
-    } else {
-      s.MaterializeTrace(std::move(stored.inlined));
-      if (s.TraceFnv() != stored.fnv) {
-        io.Fail("snapshot's inlined arrival trace fails its checksum");
-      }
-    }
-  }
-
-  Transfer(io, s.clock);
-  std::vector<QueueEntry> queue;
-  Transfer(io, queue);
-  if (io.ok()) {
-    s.RestoreQueue(io, std::move(queue));
-  }
-  ManagerImage manager;
-  Transfer(io, manager);
-  if (io.ok()) {
-    s.RestoreManager(io, std::move(manager));
-  }
-  std::optional<FaultInjector::State> injector;
-  Transfer(io, injector);
-  if (io.ok() && injector.has_value() != (s.injector != nullptr)) {
-    io.Fail("snapshot fault-injector presence does not match its fault plan");
-  }
-  if (io.ok() && injector.has_value()) {
-    const Result<bool> imported = s.injector->ImportState(*injector);
+  s.trace = image.trace;
+  s.trace_generated = image.trace_generated;
+  s.trace_fnv = image.trace_fnv;
+  s.clock = image.clock;
+  s.queue = image.queue;
+  s.next_arrival = image.next_arrival;
+  s.RestoreManager(image.manager);
+  if (s.injector != nullptr) {
+    const Result<bool> imported = s.injector->ImportState(*image.injector);
     if (!imported.ok()) {
-      io.Fail(imported.error());
+      return Error{imported.error()};
     }
   }
-  Transfer(io, s.predictor);
-  TelemetrySection<std::vector<TraceEventRecord>> telemetry;
-  Transfer(io, telemetry);
-  if (io.ok()) {
-    // Wholesale value overwrite: erases the junk telemetry the adoption path
-    // emitted above and reinstates every counter/gauge/distribution/series
-    // exactly. Rejects a registry whose layout differs from the snapshot
-    // (e.g. a RestoreOptions::telemetry context that was not fresh).
-    const Result<bool> imported = s.telemetry->metrics().ImportState(telemetry.metrics);
-    if (!imported.ok()) {
-      io.Fail(imported.error());
+  s.predictor = image.predictor;
+  // Wholesale value overwrite: erases the junk telemetry the adoption path
+  // emitted above and reinstates every counter/gauge/distribution/series
+  // exactly. Rejects a registry whose layout differs from the snapshot
+  // (e.g. a RestoreOptions::telemetry context that was not fresh).
+  const Result<bool> imported =
+      s.telemetry->metrics().ImportState(image.telemetry.metrics);
+  if (!imported.ok()) {
+    return Error{imported.error()};
+  }
+  s.telemetry->trace().set_enabled(image.telemetry.trace_enabled);
+  s.telemetry->trace().RestoreEvents(image.telemetry.records);
+  if (options.slo.active) {
+    const Result<bool> applied = s.ApplySloOverride(options.slo);
+    if (!applied.ok()) {
+      return Error{applied.error()};
     }
-  }
-  if (io.ok()) {
-    s.telemetry->trace().set_enabled(telemetry.trace_enabled);
-    s.telemetry->trace().RestoreEvents(std::move(telemetry.records));
-  }
-
-  if (io.ok() && options.slo.active) {
-    s.ApplySloOverride(io, options.slo);
-  }
-  if (!io.ok()) {
-    return Error{io.error()};
-  }
-  if (!reader.AtEnd()) {
-    return Error{"snapshot has " + std::to_string(reader.Remaining()) +
-                 " unexpected trailing payload bytes"};
   }
   return SimSession(std::move(state));
 }

@@ -17,6 +17,12 @@
 // event trace -- so kill + Restore at any step boundary produces output
 // byte-identical to the uninterrupted run. RunClusterSim() is a thin
 // wrapper over this class: Open + Finish.
+//
+// A restore is two steps. Decode turns the bytes into an immutable Image
+// and runs every check the bytes alone decide; Build turns an Image plus
+// RestoreOptions into a session and checks only what depends on the
+// options or the telemetry context. RestoreView is Decode + Build; the
+// what-if service decodes once and builds every child from the one Image.
 #ifndef SRC_CLUSTER_SIM_SESSION_H_
 #define SRC_CLUSTER_SIM_SESSION_H_
 
@@ -64,17 +70,17 @@ class SimSession {
     uint64_t fnv = 0;
   };
 
+  // A decoded snapshot (Decode). Opaque (defined in sim_session.cc) and
+  // never written once Decode returns, so any number of sessions -- on any
+  // threads -- can Build off one. Sessions built from it share its arrival
+  // trace read-only.
+  struct Image;
+
   struct RestoreOptions {
     // Publish into this context instead of a session-private one. It must be
     // freshly constructed (no metrics registered): Restore rebuilds the
     // snapshot's registry layout inside it and rejects any mismatch.
     TelemetryContext* telemetry = nullptr;
-    // A generated trace already verified against this snapshot (the what-if
-    // service's children, DESIGN.md §15): the restore adopts it instead of
-    // regenerating, if the snapshot's stored length and checksum equal its
-    // own, and fails naming both otherwise. Ignored when the snapshot
-    // inlines its trace. Null: regenerate and verify.
-    SharedTrace trace;
     // >= 0 overrides the snapshotted placement policy (a PlacementPolicy
     // cast to int). The restored fleet state is untouched -- only future
     // placement decisions change. This is the sweep orchestrator's policy
@@ -85,7 +91,7 @@ class SimSession {
     // already-interactive run -- without disturbing restored fleet state.
     // Negative fields keep the snapshotted value. Overriding `fraction`, or
     // enabling a plain generated run, re-tags a private regenerated trace
-    // (a shared one is never written); `fraction` fails on explicit-trace
+    // (the Image's is never written); `fraction` fails on explicit-trace
     // snapshots (there is no generator to rerun).
     struct SloOverride {
       bool active = false;
@@ -126,13 +132,24 @@ class SimSession {
   static Result<SimSession> Restore(const std::string& path) {
     return Restore(path, RestoreOptions());
   }
-  // Rebuilds a session from SnapshotBytes() output, zero-copy over
-  // caller-kept memory: the blob is only read during the call and never
-  // written, so any number of sessions -- including concurrently, from
-  // different threads -- can fork off one shared const blob (the what-if
-  // service's copy-on-restore children, DESIGN.md §15).
+  // Rebuilds a session from SnapshotBytes() output: Decode, then Build. The
+  // bytes are only read during the call and never written.
   static Result<SimSession> RestoreView(std::string_view bytes,
                                         const RestoreOptions& options);
+  // The first half of a restore: checks the framing and the integrity
+  // footer, reads every section, and runs every check that depends on the
+  // bytes alone -- the config and its cadences, the trace (regenerated
+  // against its stored length and checksum, or an inlined one against the
+  // trace rules and its checksum), the queue payloads, the health and
+  // server counts, the fault injector's presence, and no trailing bytes.
+  static Result<std::shared_ptr<const Image>> Decode(std::string_view bytes);
+  // The second half: a session from a decoded image, reading no bytes. It
+  // fails only on the placement and slo overrides and on the registry and
+  // fault-injector imports (e.g. a RestoreOptions::telemetry context that
+  // was not fresh). The session copies the live state -- hosted VMs, queue,
+  // registry -- and shares the image's trace, so the image may be dropped
+  // once Build returns.
+  static Result<SimSession> Build(const Image& image, const RestoreOptions& options);
 
   SimSession(SimSession&&) noexcept;
   SimSession& operator=(SimSession&&) noexcept;
@@ -168,10 +185,9 @@ class SimSession {
   // The run's config. Its explicit_trace is empty: the session moved the
   // events into its own trace.
   const ClusterSimConfig& config() const;
-  // The session's trace when its config generated it (what
-  // RestoreOptions::trace takes); events is null for an explicit trace.
-  // The first call may checksum the trace; like every call on one session,
-  // it must not race with another.
+  // The session's trace when its config generated it; events is null for
+  // an explicit trace. The first call may checksum the trace; like every
+  // call on one session, it must not race with another.
   SharedTrace generated_trace() const;
   // Deep access for tests and embedders; treat as read-only between steps.
   ClusterManager& manager();

@@ -107,8 +107,17 @@ DeflationStats CollectDeflation(ClusterManager& manager) {
 Result<WhatIfService> WhatIfService::Load(std::string blob) {
   std::shared_ptr<const std::string> shared =
       std::make_shared<const std::string>(std::move(blob));
-  WhatIfService service(shared);
-  service.blob_fnv_ = SnapshotFnv1a64(shared->data(), shared->size());
+  Result<std::shared_ptr<const SimSession::Image>> image = SimSession::Decode(*shared);
+  if (!image.ok()) {
+    return Error{"snapshot blob rejected: " + image.error()};
+  }
+  WhatIfService service(shared, std::move(image.value()));
+  // Decode verified the footer, the FNV-1a digest of everything before it,
+  // so the whole blob's digest is that one continued over the footer.
+  const char* footer = shared->data() + shared->size() - 8;
+  service.blob_fnv_ = SnapshotFnv1a64(footer, 8, LoadLe(footer, 8));
+  // One probe build runs the imports every child repeats, so a blob that
+  // decodes but cannot build fails here, not per query.
   TelemetryContext probe;
   Result<SimSession> check = service.RestoreChild(&probe);
   if (!check.ok()) {
@@ -116,7 +125,6 @@ Result<WhatIfService> WhatIfService::Load(std::string blob) {
   }
   service.base_now_s_ = check.value().now();
   service.base_duration_s_ = check.value().duration_s();
-  service.trace_ = check.value().generated_trace();
   return service;
 }
 
@@ -125,12 +133,11 @@ Result<SimSession> WhatIfService::RestoreChild(
     const SimSession::RestoreOptions::SloOverride* slo) const {
   SimSession::RestoreOptions options;
   options.telemetry = telemetry;
-  options.trace = trace_;
   options.placement = placement;
   if (slo != nullptr) {
     options.slo = *slo;
   }
-  return SimSession::RestoreView(std::string_view(*blob_), options);
+  return SimSession::Build(*image_, options);
 }
 
 Result<std::string> WhatIfService::Answer(const WhatIfQuery& query) const {

@@ -1,17 +1,17 @@
 // WhatIfService: the serving core of `deflation_server` (DESIGN.md §15).
-// Loads one snapshot blob into immutable shared memory, then answers
-// what-if queries by forking copy-on-restore child sessions off it:
+// Decodes one snapshot blob once into an immutable SimSession::Image, then
+// answers what-if queries by building copy-on-restore child sessions off it:
 //
 //   Result<WhatIfService> service = WhatIfService::Load(std::move(blob));
 //   std::string report = service.value().AnswerBatch(queries, /*workers=*/8);
 //
-// Isolation model: every query gets its own SimSession (restored zero-copy
-// via SimSession::RestoreView) and its own fresh TelemetryContext, and runs
-// on the one thread that answers it, so concurrent queries share only
-// read-only state -- the const blob and the arrival trace Load verified
-// against it -- and an answer depends only on (blob, query). That is what
-// makes AnswerBatch byte-identical at every worker count: results are
-// written into a slot per query and joined in input order.
+// Isolation model: every query gets its own SimSession (SimSession::Build
+// from the shared image, reading no byte of the blob) and its own fresh
+// TelemetryContext, and runs on the one thread that answers it, so
+// concurrent queries share only read-only state -- the image and the
+// arrival trace it verified -- and an answer depends only on (blob, query).
+// That is what makes AnswerBatch byte-identical at every worker count:
+// results are written into a slot per query and joined in input order.
 #ifndef SRC_SERVICE_WHATIF_H_
 #define SRC_SERVICE_WHATIF_H_
 
@@ -64,10 +64,10 @@ DeflationStats CollectDeflation(ClusterManager& manager);
 
 class WhatIfService {
  public:
-  // Takes ownership of the snapshot blob and validates it with one probe
-  // restore; a corrupt or version-skewed blob fails here, not per query.
-  // The probe's generated arrival trace, verified against the blob, is kept
-  // and shared read-only by every child.
+  // Takes ownership of the snapshot blob, decodes it once (SimSession::
+  // Decode: footer, every section, every bytes-only check) and proves the
+  // image with one probe build; a corrupt, inconsistent or version-skewed
+  // blob fails here, not per query.
   static Result<WhatIfService> Load(std::string blob);
 
   // Executes one query on a private child session and renders the answer as
@@ -84,7 +84,7 @@ class WhatIfService {
   std::string AnswerBatch(const std::vector<WhatIfQuery>& queries,
                           int workers) const;
 
-  // Forks a private child session off the shared blob and trace.
+  // Builds a private child session off the shared image.
   // `telemetry` must be fresh; `placement` >= 0 overrides the future
   // placement policy (the sweep orchestrator's policy axis); `slo` (when
   // non-null and active) overrides the interactive-serving SLO config on
@@ -94,8 +94,9 @@ class WhatIfService {
       TelemetryContext* telemetry, int placement = -1,
       const SimSession::RestoreOptions::SloOverride* slo = nullptr) const;
 
-  // FNV-1a-64 of the base blob; the property suite re-hashes after a
-  // concurrent batch to prove no query wrote through the shared bytes.
+  // FNV-1a-64 of the base blob, continued from the footer Decode verified;
+  // the property suite re-hashes after a concurrent batch to prove no
+  // query wrote through the shared bytes.
   uint64_t blob_fnv() const { return blob_fnv_; }
   // Virtual clock / horizon of the base snapshot, from the probe restore.
   double base_now_s() const { return base_now_s_; }
@@ -103,13 +104,14 @@ class WhatIfService {
   const std::string& blob() const { return *blob_; }
 
  private:
-  explicit WhatIfService(std::shared_ptr<const std::string> blob)
-      : blob_(std::move(blob)) {}
+  WhatIfService(std::shared_ptr<const std::string> blob,
+                std::shared_ptr<const SimSession::Image> image)
+      : blob_(std::move(blob)), image_(std::move(image)) {}
 
   std::shared_ptr<const std::string> blob_;
+  // The blob, decoded once; every child builds from it (DESIGN.md §15).
+  std::shared_ptr<const SimSession::Image> image_;
   uint64_t blob_fnv_ = 0;
-  // The blob's generated trace, null for an inlined one (DESIGN.md §15).
-  SimSession::SharedTrace trace_;
   double base_now_s_ = 0.0;
   double base_duration_s_ = 0.0;
 };

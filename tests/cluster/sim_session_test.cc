@@ -3,8 +3,8 @@
 // (a stepped run equals a batch RunClusterSim of the same config), a
 // snapshot/restore cycle must be byte-invisible in the telemetry exports,
 // and corrupted or truncated snapshots must fail Restore with a descriptive
-// error -- never a crash or a half-restored session. A restore handed a
-// shared trace adopts it only if it is the snapshot's. Arrivals leave the
+// error -- never a crash or a half-restored session. Sessions built from
+// one decoded Image share its trace and never write it. Arrivals leave the
 // trace through a cursor merged with the event heap, so same-instant
 // stragglers, a pending arrival behind a heap past the horizon, and the
 // pending-event count are pinned here too, as is the trace validation
@@ -272,45 +272,34 @@ TEST(SimSessionTest, RestoreRejectsUsedTelemetryContext) {
       << restored.error();
 }
 
-TEST(SimSessionTest, SharedTraceIsAdoptedOnlyIfItIsTheSnapshots) {
+TEST(SimSessionTest, SessionsBuiltFromAnImageShareItsTrace) {
   Result<SimSession> session = SimSession::Open(SmallSim());
   ASSERT_TRUE(session.ok()) << session.error();
   session.value().StepUntil(1800.0);
   const std::string bytes = session.value().SnapshotBytes();
-  const SimSession::SharedTrace trace = session.value().generated_trace();
+  const uint64_t fnv = session.value().generated_trace().fnv;
+
+  Result<std::shared_ptr<const SimSession::Image>> image = SimSession::Decode(bytes);
+  ASSERT_TRUE(image.ok()) << image.error();
+  Result<SimSession> first = SimSession::Build(*image.value(), {});
+  Result<SimSession> second = SimSession::Build(*image.value(), {});
+  ASSERT_TRUE(first.ok()) << first.error();
+  ASSERT_TRUE(second.ok()) << second.error();
+  const SimSession::SharedTrace trace = first.value().generated_trace();
   ASSERT_NE(trace.events, nullptr);
+  EXPECT_EQ(second.value().generated_trace().events, trace.events);
+  EXPECT_EQ(trace.fnv, fnv);
+  EXPECT_EQ(first.value().SnapshotBytes(), bytes);
 
-  SimSession::RestoreOptions adopt;
-  adopt.trace = trace;
-  Result<SimSession> adopted = SimSession::RestoreView(bytes, adopt);
-  ASSERT_TRUE(adopted.ok()) << adopted.error();
-  EXPECT_EQ(adopted.value().generated_trace().events, trace.events);
-  EXPECT_EQ(adopted.value().SnapshotBytes(), bytes);
-
-  const size_t n = trace.events->size();
-  ASSERT_GT(n, 1u);
-
-  const auto expect_rejected = [&bytes](const SimSession::SharedTrace& shared,
-                                        const std::vector<std::string>& named) {
-    SimSession::RestoreOptions options;
-    options.trace = shared;
-    const Result<SimSession> restored = SimSession::RestoreView(bytes, options);
-    ASSERT_FALSE(restored.ok());
-    for (const std::string& value : named) {
-      EXPECT_NE(restored.error().find(value), std::string::npos)
-          << "error does not name " << value << ": " << restored.error();
-    }
-  };
-  // One arrival short, with its own (consistent) checksum.
-  std::vector<TraceEvent> shorter(trace.events->begin(), trace.events->end() - 1);
-  const uint64_t shorter_fnv = TraceChecksum(shorter);
-  expect_rejected(
-      {std::make_shared<const std::vector<TraceEvent>>(std::move(shorter)), shorter_fnv},
-      {std::to_string(n - 1) + " arrivals", Hex16(shorter_fnv),
-       std::to_string(n) + " arrivals", Hex16(trace.fnv)});
-  // The right events under a wrong checksum.
-  expect_rejected({trace.events, trace.fnv ^ 1},
-                  {Hex16(trace.fnv ^ 1), Hex16(trace.fnv)});
+  // A session runs on without writing through the image, and outlives it.
+  first.value().StepUntil(3600.0);
+  Result<SimSession> third = SimSession::Build(*image.value(), {});
+  ASSERT_TRUE(third.ok()) << third.error();
+  EXPECT_EQ(third.value().SnapshotBytes(), bytes);
+  image = Error{"dropped"};
+  second.value().StepUntil(3600.0);
+  EXPECT_EQ(second.value().SnapshotBytes(), first.value().SnapshotBytes());
+  EXPECT_EQ(TraceChecksum(*trace.events), fnv);
 }
 
 TEST(SimSessionTest, ExplicitTraceMovesIntoTheSession) {
@@ -324,12 +313,10 @@ TEST(SimSessionTest, ExplicitTraceMovesIntoTheSession) {
   session.value().StepUntil(1800.0);
   const std::string bytes = session.value().SnapshotBytes();
 
-  // A snapshot that inlines its trace ignores a shared one.
-  Result<SimSession> generated = SimSession::Open(SmallSim());
-  ASSERT_TRUE(generated.ok()) << generated.error();
-  SimSession::RestoreOptions options;
-  options.trace = generated.value().generated_trace();
-  Result<SimSession> restored = SimSession::RestoreView(bytes, options);
+  // A session built from an inlined-trace image reports no generated trace.
+  Result<std::shared_ptr<const SimSession::Image>> image = SimSession::Decode(bytes);
+  ASSERT_TRUE(image.ok()) << image.error();
+  Result<SimSession> restored = SimSession::Build(*image.value(), {});
   ASSERT_TRUE(restored.ok()) << restored.error();
   EXPECT_TRUE(restored.value().config().explicit_trace.empty());
   EXPECT_EQ(restored.value().generated_trace().events, nullptr);
@@ -552,15 +539,18 @@ TEST(SimSessionTest, ReTaggedChildSnapshotsItsOwnTraceChecksum) {
   ASSERT_TRUE(session.ok()) << session.error();
   session.value().StepUntil(1800.0);
   const std::string bytes = session.value().SnapshotBytes();
-  const SimSession::SharedTrace shared = session.value().generated_trace();
 
-  // The child adopts the shared trace with its checksum, then re-tags a
+  // The child starts from the image's trace and checksum, then re-tags a
   // private one; the checksum it snapshots must be the re-tagged trace's.
+  Result<std::shared_ptr<const SimSession::Image>> image = SimSession::Decode(bytes);
+  ASSERT_TRUE(image.ok()) << image.error();
+  Result<SimSession> plain = SimSession::Build(*image.value(), {});
+  ASSERT_TRUE(plain.ok()) << plain.error();
+  const SimSession::SharedTrace shared = plain.value().generated_trace();
   SimSession::RestoreOptions options;
-  options.trace = shared;
   options.slo.active = true;
   options.slo.fraction = 0.5;
-  Result<SimSession> child = SimSession::RestoreView(bytes, options);
+  Result<SimSession> child = SimSession::Build(*image.value(), options);
   ASSERT_TRUE(child.ok()) << child.error();
   const std::string child_bytes = child.value().SnapshotBytes();
   const SimSession::SharedTrace retagged = child.value().generated_trace();
@@ -572,6 +562,46 @@ TEST(SimSessionTest, ReTaggedChildSnapshotsItsOwnTraceChecksum) {
   ASSERT_TRUE(again.ok()) << again.error();
   EXPECT_EQ(again.value().generated_trace().fnv, retagged.fnv);
   EXPECT_EQ(again.value().SnapshotBytes(), child_bytes);
+}
+
+TEST(SimSessionTest, RestoreRejectsASnapshotWhoseOwnCadenceIsUnbounded) {
+  struct Case {
+    const char* field;
+    void (*set)(ClusterSimConfig&);
+  };
+  const Case cases[] = {
+      {"reinflate_period_s", [](ClusterSimConfig& c) { c.reinflate_period_s = 1e-3; }},
+      {"sample_period_s", [](ClusterSimConfig& c) { c.sample_period_s = 0.5; }},
+      {"interactive.control_period_s",
+       [](ClusterSimConfig& c) {
+         c.interactive.enabled = true;
+         c.interactive.control_period_s = 0.5;
+       }},
+  };
+  for (const Case& c : cases) {
+    ClusterSimConfig config = SmallSim();
+    config.trace.duration_s = 24.0 * 3600.0;
+    c.set(config);
+    // Open takes it: cadences are bounded where a run's inputs are parsed.
+    Result<SimSession> session = SimSession::Open(config);
+    ASSERT_TRUE(session.ok()) << c.field << ": " << session.error();
+    const Result<SimSession> restored =
+        SimSession::RestoreView(session.value().SnapshotBytes(), {});
+    ASSERT_FALSE(restored.ok()) << c.field;
+    EXPECT_NE(restored.error().find(std::string("snapshot carries an invalid config: ") +
+                                    c.field + " fires"),
+              std::string::npos)
+        << restored.error();
+  }
+  // The bound is over the snapshot's own horizon: 1 s over 24 h is fine.
+  ClusterSimConfig config = SmallSim();
+  config.trace.duration_s = 24.0 * 3600.0;
+  config.reinflate_period_s = 1.0;
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  const Result<SimSession> restored =
+      SimSession::RestoreView(session.value().SnapshotBytes(), {});
+  EXPECT_TRUE(restored.ok()) << restored.error();
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // produce bitwise-identical per-query results, and the shared base blob
 // must hash identically before and after -- queries are isolated
 // copy-on-restore children and never write through the blob, nor through
-// the arrival trace they share. Runs under the TSan CI matrix; query
-// batches are seeded from DEFL_FAULT_SEED so each CI leg explores a
-// different batch.
+// the decoded image and arrival trace they share. Runs under the TSan CI
+// matrix; query batches are seeded from DEFL_FAULT_SEED so each CI leg
+// explores a different batch.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -152,6 +152,64 @@ TEST(WhatIfDeterminismTest, CorruptBlobIsRejectedAtLoad) {
       << loaded.error();
 }
 
+TEST(WhatIfDeterminismTest, CorruptFooterIsRejectedAtLoad) {
+  const std::string blob = MidRunSnapshot();
+  for (size_t at = blob.size() - 8; at < blob.size(); ++at) {
+    std::string flipped = blob;
+    flipped[at] = static_cast<char>(flipped[at] ^ (1 << (at % 8)));
+    Result<WhatIfService> loaded = WhatIfService::Load(std::move(flipped));
+    ASSERT_FALSE(loaded.ok()) << "footer byte " << at;
+    EXPECT_NE(loaded.error().find("integrity check failed"), std::string::npos)
+        << loaded.error();
+  }
+}
+
+// A blob that decodes but whose registry layout no fresh child can import:
+// Load's probe build rejects it, so no query's answer does.
+TEST(WhatIfDeterminismTest, BlobThatCannotBuildIsRejectedAtLoad) {
+  std::string blob = MidRunSnapshot();
+  const size_t at = blob.find("cluster/utilization");
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.find("cluster/utilization", at + 1), std::string::npos);
+  blob[at] = 'C';
+  std::string footer;
+  AppendLe(footer, SnapshotFnv1a64(blob.data(), blob.size() - 8), 8);
+  blob.replace(blob.size() - 8, 8, footer);
+  ASSERT_TRUE(SimSession::Decode(blob).ok());
+  Result<WhatIfService> loaded = WhatIfService::Load(std::move(blob));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().find("snapshot blob rejected: metrics layout mismatch"),
+            std::string::npos)
+      << loaded.error();
+}
+
+TEST(WhatIfDeterminismTest, LoadTakesTheBlobDigestFromTheFooter) {
+  for (const bool interactive : {false, true}) {
+    const std::string blob = MidRunSnapshot(interactive);
+    Result<WhatIfService> loaded = WhatIfService::Load(blob);
+    ASSERT_TRUE(loaded.ok()) << loaded.error();
+    EXPECT_EQ(loaded.value().blob_fnv(), SnapshotFnv1a64(blob.data(), blob.size()));
+  }
+}
+
+// Open takes a 1 ms reinflation period over 24 h; a child of its snapshot
+// asked to `run hours=1` would run 3.6M reinflation sweeps.
+TEST(WhatIfDeterminismTest, LoadRejectsASnapshotWhoseOwnCadenceIsUnbounded) {
+  ClusterSimConfig config;
+  config.num_servers = 4;
+  config.trace.duration_s = 24.0 * 3600.0;
+  config.trace.seed = TestSeed();
+  config.reinflate_period_s = 1e-3;
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  Result<WhatIfService> loaded = WhatIfService::Load(session.value().SnapshotBytes());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().find("snapshot blob rejected: snapshot carries an invalid "
+                                "config: reinflate_period_s fires"),
+            std::string::npos)
+      << loaded.error();
+}
+
 TEST(WhatIfDeterminismTest, PlacementOverrideChangesOnlyFuturePolicy) {
   Result<WhatIfService> loaded = WhatIfService::Load(MidRunSnapshot());
   ASSERT_TRUE(loaded.ok()) << loaded.error();
@@ -193,9 +251,9 @@ TEST(WhatIfSweepTest, WorkerCountDoesNotChangeSweepReport) {
       << one.value();
 }
 
-// Children restored off Load's shared trace are the children a cold
-// RestoreView of the same blob builds, now and after simulating on; only an
-// slo override that re-tags the trace builds a private one.
+// Children built off Load's image are the children a cold RestoreView of
+// the same blob builds, now and after simulating on; they share the image's
+// trace, and only an slo override that re-tags it builds a private one.
 TEST(WhatIfSharedTraceTest, ChildEqualsColdRestoreUnderEveryOverride) {
   using SloOverride = SimSession::RestoreOptions::SloOverride;
   SloOverride none;
@@ -280,6 +338,34 @@ TEST(WhatIfSharedTraceTest, ConcurrentBatchLeavesTheSharedTraceIntact) {
   EXPECT_EQ(TraceChecksum(*trace.events), trace.fnv);
   EXPECT_EQ(service.blob_fnv(),
             SnapshotFnv1a64(service.blob().data(), service.blob().size()));
+}
+
+// Every child builds from Load's one decoded image. After a concurrent batch
+// of every query kind, a fresh child still snapshots to the blob itself:
+// no query wrote through the image.
+TEST(WhatIfSharedTraceTest, MixedBatchLeavesTheImageIntact) {
+  for (const bool interactive : {false, true}) {
+    Result<WhatIfService> loaded = WhatIfService::Load(MidRunSnapshot(interactive));
+    ASSERT_TRUE(loaded.ok()) << loaded.error();
+    const WhatIfService& service = loaded.value();
+    std::vector<WhatIfQuery> queries;
+    for (const char* line :
+         {"place count=20 cpu=2 mem=4096 hours=0.3", "fail fraction=0.3 seed=7 hours=0.2",
+          "overcommit target=1.6 cpu=2 mem=4096 limit=50", "run hours=0.5",
+          "slo fraction=0.6 hours=0.3", "slo p99=40 policy=uniform hours=0.2"}) {
+      Result<WhatIfQuery> query = ParseQuery(line);
+      ASSERT_TRUE(query.ok()) << line << ": " << query.error();
+      queries.push_back(query.value());
+      queries.push_back(query.value());
+    }
+    const std::string report = service.AnswerBatch(queries, 8);
+    EXPECT_EQ(report.find("\"error\""), std::string::npos) << report;
+    TelemetryContext telemetry;
+    Result<SimSession> child = service.RestoreChild(&telemetry);
+    ASSERT_TRUE(child.ok()) << child.error();
+    EXPECT_TRUE(child.value().SnapshotBytes() == service.blob())
+        << (interactive ? "interactive" : "plain");
+  }
 }
 
 }  // namespace

@@ -11,9 +11,10 @@
 #   3. slo queries and the shipped batch on a mid-run interactive-serving
 #      snapshot, whose children share an interactive-tagged trace, are
 #      byte-identical at workers 1 vs 8.
-#   4. A trace-file replay, whose snapshot inlines its trace so every child
-#      decodes its own: the shipped batch is byte-identical at workers 1 vs
-#      8, and an slo query that would re-tag the trace says it cannot.
+#   4. A trace-file replay, whose snapshot inlines its trace (decoded once
+#      by Load, shared by every child): the shipped batch is byte-identical
+#      at workers 1 vs 8, and an slo query that would re-tag the trace says
+#      it cannot.
 #
 # Usage: whatif_determinism_smoke.sh <deflation_sim> <deflation_server> \
 #            <work_dir> <examples_dir>
