@@ -12,7 +12,6 @@
 #include "src/cluster/predictor.h"
 #include "src/cluster/session_codec.h"
 #include "src/cluster/slo_controller.h"
-#include "src/common/cadence.h"
 #include "src/faults/fault_injector.h"
 #include "src/hypervisor/vm.h"
 #include "src/sim/snapshot_io.h"
@@ -527,24 +526,6 @@ std::unique_ptr<SimSession::State> BuildCore(std::unique_ptr<SimSession::State> 
   return state;
 }
 
-// A snapshot's own cadences are bounded like a run's flags (cadence.h):
-// every what-if child of it simulates on with them.
-Result<bool> CheckSnapshotCadences(const ClusterSimConfig& config) {
-  const std::pair<const char*, double> periods[] = {
-      {"sample_period_s", config.sample_period_s},
-      {"reinflate_period_s", config.reinflate_period_s},
-      {"interactive.control_period_s",
-       config.interactive.enabled ? config.interactive.control_period_s : 0.0},
-  };
-  for (const auto& [what, period_s] : periods) {
-    const Result<bool> cadence = CheckCadence(what, period_s, config.trace.duration_s);
-    if (!cadence.ok()) {
-      return cadence;
-    }
-  }
-  return true;
-}
-
 // Pending arrival events index into the trace, so it must be the one the
 // run used: a generated trace is rerun and must have the stored length and
 // checksum (a generator that drifted across builds fails the restore
@@ -870,10 +851,7 @@ Result<std::shared_ptr<const SimSession::Image>> SimSession::Decode(
   if (!io.ok()) {
     return Error{io.error()};
   }
-  Result<bool> valid = ValidateConfig(m.config);
-  if (valid.ok()) {
-    valid = CheckSnapshotCadences(m.config);
-  }
+  const Result<bool> valid = ValidateConfig(m.config);
   if (!valid.ok()) {
     return Error{"snapshot carries an invalid config: " + valid.error()};
   }

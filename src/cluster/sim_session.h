@@ -138,10 +138,12 @@ class SimSession {
                                         const RestoreOptions& options);
   // The first half of a restore: checks the framing and the integrity
   // footer, reads every section, and runs every check that depends on the
-  // bytes alone -- the config and its cadences, the trace (regenerated
-  // against its stored length and checksum, or an inlined one against the
-  // trace rules and its checksum), the queue payloads, the health and
-  // server counts, the fault injector's presence, and no trailing bytes.
+  // bytes alone -- the config, the trace (regenerated against its stored
+  // length and checksum, or an inlined one against the trace rules and its
+  // checksum), the queue payloads, the health and server counts, the fault
+  // injector's presence, and no trailing bytes. It takes every snapshot of
+  // a run Open accepted; the what-if service bounds the snapshot's own
+  // cadences on top (WhatIfService::Load).
   static Result<std::shared_ptr<const Image>> Decode(std::string_view bytes);
   // The second half: a session from a decoded image, reading no bytes. It
   // fails only on the placement and slo overrides and on the registry and

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/cluster/slo_controller.h"
+#include "src/common/cadence.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/sim/snapshot_io.h"
@@ -28,6 +29,26 @@ VmSpec WhatIfSpec(const WhatIfQuery& query) {
   // min_size stays zero: low-priority probes are fully deflatable, matching
   // the transient VMs the paper's placement policies are tuned for.
   return spec;
+}
+
+// Every child simulates on with the snapshot's own cadences, so Load bounds
+// them like a run's flags (cadence.h). Restore and Recover do not: the run
+// that cut the snapshot was accepted with them.
+Result<bool> CheckOwnCadences(const ClusterSimConfig& config) {
+  const std::pair<const char*, double> periods[] = {
+      {"sample_period_s", config.sample_period_s},
+      {"reinflate_period_s", config.reinflate_period_s},
+      {"interactive.control_period_s",
+       config.interactive.enabled ? config.interactive.control_period_s : 0.0},
+  };
+  for (const auto& [field, period_s] : periods) {
+    const Result<bool> cadence = CheckCadence(std::string("snapshot's ") + field,
+                                              period_s, config.trace.duration_s);
+    if (!cadence.ok()) {
+      return cadence;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -122,6 +143,10 @@ Result<WhatIfService> WhatIfService::Load(std::string blob) {
   Result<SimSession> check = service.RestoreChild(&probe);
   if (!check.ok()) {
     return Error{"snapshot blob rejected: " + check.error()};
+  }
+  const Result<bool> cadences = CheckOwnCadences(check.value().config());
+  if (!cadences.ok()) {
+    return Error{"snapshot blob rejected: " + cadences.error()};
   }
   service.base_now_s_ = check.value().now();
   service.base_duration_s_ = check.value().duration_s();

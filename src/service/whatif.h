@@ -67,7 +67,9 @@ class WhatIfService {
   // Takes ownership of the snapshot blob, decodes it once (SimSession::
   // Decode: footer, every section, every bytes-only check) and proves the
   // image with one probe build; a corrupt, inconsistent or version-skewed
-  // blob fails here, not per query.
+  // blob fails here, not per query. So does a snapshot whose own sample,
+  // reinflation or SLO cadence fires more than kMaxCadenceTicks times over
+  // its horizon, which every child would repeat (Restore still takes it).
   static Result<WhatIfService> Load(std::string blob);
 
   // Executes one query on a private child session and renders the answer as

@@ -564,45 +564,5 @@ TEST(SimSessionTest, ReTaggedChildSnapshotsItsOwnTraceChecksum) {
   EXPECT_EQ(again.value().SnapshotBytes(), child_bytes);
 }
 
-TEST(SimSessionTest, RestoreRejectsASnapshotWhoseOwnCadenceIsUnbounded) {
-  struct Case {
-    const char* field;
-    void (*set)(ClusterSimConfig&);
-  };
-  const Case cases[] = {
-      {"reinflate_period_s", [](ClusterSimConfig& c) { c.reinflate_period_s = 1e-3; }},
-      {"sample_period_s", [](ClusterSimConfig& c) { c.sample_period_s = 0.5; }},
-      {"interactive.control_period_s",
-       [](ClusterSimConfig& c) {
-         c.interactive.enabled = true;
-         c.interactive.control_period_s = 0.5;
-       }},
-  };
-  for (const Case& c : cases) {
-    ClusterSimConfig config = SmallSim();
-    config.trace.duration_s = 24.0 * 3600.0;
-    c.set(config);
-    // Open takes it: cadences are bounded where a run's inputs are parsed.
-    Result<SimSession> session = SimSession::Open(config);
-    ASSERT_TRUE(session.ok()) << c.field << ": " << session.error();
-    const Result<SimSession> restored =
-        SimSession::RestoreView(session.value().SnapshotBytes(), {});
-    ASSERT_FALSE(restored.ok()) << c.field;
-    EXPECT_NE(restored.error().find(std::string("snapshot carries an invalid config: ") +
-                                    c.field + " fires"),
-              std::string::npos)
-        << restored.error();
-  }
-  // The bound is over the snapshot's own horizon: 1 s over 24 h is fine.
-  ClusterSimConfig config = SmallSim();
-  config.trace.duration_s = 24.0 * 3600.0;
-  config.reinflate_period_s = 1.0;
-  Result<SimSession> session = SimSession::Open(config);
-  ASSERT_TRUE(session.ok()) << session.error();
-  const Result<SimSession> restored =
-      SimSession::RestoreView(session.value().SnapshotBytes(), {});
-  EXPECT_TRUE(restored.ok()) << restored.error();
-}
-
 }  // namespace
 }  // namespace defl

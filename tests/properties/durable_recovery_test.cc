@@ -263,6 +263,41 @@ TEST_F(DurableRecoveryTest, CheckpointCadenceIsBoundedBeforeAnyWork) {
       << recovered.error();
 }
 
+// A replayed trace stretches the horizon to its last arrival: 10^4 h of
+// 300 s samples is 120k ticks, past kMaxCadenceTicks. Open and Create take
+// such a run, so its snapshot must resume and its directory must recover.
+TEST_F(DurableRecoveryTest, LongReplayResumesAndRecovers) {
+  ClusterSimConfig config = BaseConfig();
+  TraceEvent far;
+  far.arrival_s = 1e4 * 3600.0;
+  far.lifetime_s = 600.0;
+  far.spec.name = "vm-0";
+  far.spec.size = ResourceVector(2.0, 2048.0, 10.0, 10.0);
+  config.explicit_trace = {far};
+  config.trace.duration_s = far.arrival_s + 3600.0;
+  ASSERT_GT(config.trace.duration_s / config.sample_period_s, kMaxCadenceTicks);
+
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  session.value().StepUntil(3600.0);
+  const std::string bytes = session.value().SnapshotBytes();
+  const Result<SimSession> resumed = SimSession::RestoreView(bytes, {});
+  ASSERT_TRUE(resumed.ok()) << resumed.error();
+  EXPECT_EQ(resumed.value().SnapshotBytes(), bytes);
+
+  DurableSession::Options options;
+  options.dir = dir_;
+  options.checkpoint_every_s = 10.0 * 3600.0;
+  {
+    Result<DurableSession> run = DurableSession::Create(config, options);
+    ASSERT_TRUE(run.ok()) << run.error();
+    ASSERT_TRUE(run.value().StepUntil(3600.0).ok());
+  }
+  const Result<DurableSession> recovered = DurableSession::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.error();
+  EXPECT_EQ(recovered.value().session().SnapshotBytes(), bytes);
+}
+
 TEST_F(DurableRecoveryTest, DirectoryKilledBeforeGenesisIsNotRecoverable) {
   const ClusterSimConfig config = BaseConfig();
   // Die inside the very first checkpoint's snapshot write: the directory

@@ -143,23 +143,21 @@ TEST(WhatIfDeterminismTest, AnswersDependOnlyOnBlobAndQuery) {
   EXPECT_EQ(from_a.value(), from_b.value());
 }
 
+// One flipped bit in the body or in the 8-byte integrity footer fails Load:
+// no child re-checks the footer after it.
 TEST(WhatIfDeterminismTest, CorruptBlobIsRejectedAtLoad) {
-  std::string blob = MidRunSnapshot();
-  blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x40);
-  Result<WhatIfService> loaded = WhatIfService::Load(std::move(blob));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error().find("snapshot blob rejected"), std::string::npos)
-      << loaded.error();
-}
-
-TEST(WhatIfDeterminismTest, CorruptFooterIsRejectedAtLoad) {
   const std::string blob = MidRunSnapshot();
+  std::vector<size_t> positions = {blob.size() / 2};
   for (size_t at = blob.size() - 8; at < blob.size(); ++at) {
+    positions.push_back(at);
+  }
+  for (const size_t at : positions) {
     std::string flipped = blob;
     flipped[at] = static_cast<char>(flipped[at] ^ (1 << (at % 8)));
     Result<WhatIfService> loaded = WhatIfService::Load(std::move(flipped));
-    ASSERT_FALSE(loaded.ok()) << "footer byte " << at;
-    EXPECT_NE(loaded.error().find("integrity check failed"), std::string::npos)
+    ASSERT_FALSE(loaded.ok()) << "byte " << at;
+    EXPECT_NE(loaded.error().find("snapshot blob rejected: snapshot integrity check failed"),
+              std::string::npos)
         << loaded.error();
   }
 }
@@ -192,22 +190,41 @@ TEST(WhatIfDeterminismTest, LoadTakesTheBlobDigestFromTheFooter) {
   }
 }
 
-// Open takes a 1 ms reinflation period over 24 h; a child of its snapshot
-// asked to `run hours=1` would run 3.6M reinflation sweeps.
+// Open and Restore take a snapshot whose own cadence fires more than
+// kMaxCadenceTicks times over its horizon, but every child would repeat the
+// ticks: one `run hours=1` child of a 1 ms reinflation period would run 3.6M
+// sweeps. Load refuses it, naming the field.
 TEST(WhatIfDeterminismTest, LoadRejectsASnapshotWhoseOwnCadenceIsUnbounded) {
-  ClusterSimConfig config;
-  config.num_servers = 4;
-  config.trace.duration_s = 24.0 * 3600.0;
-  config.trace.seed = TestSeed();
-  config.reinflate_period_s = 1e-3;
-  Result<SimSession> session = SimSession::Open(config);
-  ASSERT_TRUE(session.ok()) << session.error();
-  Result<WhatIfService> loaded = WhatIfService::Load(session.value().SnapshotBytes());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error().find("snapshot blob rejected: snapshot carries an invalid "
-                                "config: reinflate_period_s fires"),
-            std::string::npos)
-      << loaded.error();
+  struct Case {
+    const char* field;
+    void (*set)(ClusterSimConfig&);
+  };
+  const Case cases[] = {
+      {"reinflate_period_s", [](ClusterSimConfig& c) { c.reinflate_period_s = 1e-3; }},
+      {"sample_period_s", [](ClusterSimConfig& c) { c.sample_period_s = 0.5; }},
+      {"interactive.control_period_s",
+       [](ClusterSimConfig& c) {
+         c.interactive.enabled = true;
+         c.interactive.control_period_s = 0.5;
+       }},
+  };
+  for (const Case& c : cases) {
+    ClusterSimConfig config;
+    config.num_servers = 4;
+    config.trace.duration_s = 24.0 * 3600.0;
+    config.trace.seed = TestSeed();
+    c.set(config);
+    Result<SimSession> session = SimSession::Open(config);
+    ASSERT_TRUE(session.ok()) << c.field << ": " << session.error();
+    const std::string bytes = session.value().SnapshotBytes();
+    ASSERT_TRUE(SimSession::RestoreView(bytes, {}).ok()) << c.field;
+    Result<WhatIfService> loaded = WhatIfService::Load(bytes);
+    ASSERT_FALSE(loaded.ok()) << c.field;
+    EXPECT_NE(loaded.error().find(std::string("snapshot blob rejected: snapshot's ") +
+                                  c.field + " fires"),
+              std::string::npos)
+        << loaded.error();
+  }
 }
 
 TEST(WhatIfDeterminismTest, PlacementOverrideChangesOnlyFuturePolicy) {
@@ -311,48 +328,29 @@ TEST(WhatIfSharedTraceTest, ChildEqualsColdRestoreUnderEveryOverride) {
   }
 }
 
+// Every child builds from Load's one decoded image and shares its trace.
+// After a concurrent batch of every query kind, the trace still hashes to
+// its checksum and a fresh child still snapshots to the blob itself: no
+// query wrote through the image.
 TEST(WhatIfSharedTraceTest, ConcurrentBatchLeavesTheSharedTraceIntact) {
-  Result<WhatIfService> loaded = WhatIfService::Load(MidRunSnapshot(true));
-  ASSERT_TRUE(loaded.ok()) << loaded.error();
-  const WhatIfService& service = loaded.value();
-  TelemetryContext telemetry;
-  Result<SimSession> probe = service.RestoreChild(&telemetry);
-  ASSERT_TRUE(probe.ok()) << probe.error();
-  const SimSession::SharedTrace trace = probe.value().generated_trace();
-  ASSERT_NE(trace.events, nullptr);
-
-  std::vector<WhatIfQuery> queries;
-  for (const char* line : {"slo fraction=0.9 hours=0.5", "place count=20 cpu=2 mem=4096",
-                           "slo fraction=0 policy=uniform hours=0.3",
-                           "place count=5 cpu=4 mem=8192 hours=0.5", "slo hours=0.4",
-                           "slo fraction=0.2 p99=40 hours=0.2"}) {
-    Result<WhatIfQuery> query = ParseQuery(line);
-    ASSERT_TRUE(query.ok()) << line << ": " << query.error();
-    queries.push_back(query.value());
-    queries.push_back(query.value());
-  }
-  const std::string report = service.AnswerBatch(queries, 8);
-  EXPECT_EQ(report.find("\"error\""), std::string::npos) << report;
-  // Like the blob, the trace Load verified is read-only: it still hashes to
-  // the checksum Load recorded.
-  EXPECT_EQ(TraceChecksum(*trace.events), trace.fnv);
-  EXPECT_EQ(service.blob_fnv(),
-            SnapshotFnv1a64(service.blob().data(), service.blob().size()));
-}
-
-// Every child builds from Load's one decoded image. After a concurrent batch
-// of every query kind, a fresh child still snapshots to the blob itself:
-// no query wrote through the image.
-TEST(WhatIfSharedTraceTest, MixedBatchLeavesTheImageIntact) {
   for (const bool interactive : {false, true}) {
+    const char* label = interactive ? "interactive" : "plain";
     Result<WhatIfService> loaded = WhatIfService::Load(MidRunSnapshot(interactive));
     ASSERT_TRUE(loaded.ok()) << loaded.error();
     const WhatIfService& service = loaded.value();
+    TelemetryContext telemetry;
+    Result<SimSession> probe = service.RestoreChild(&telemetry);
+    ASSERT_TRUE(probe.ok()) << probe.error();
+    const SimSession::SharedTrace trace = probe.value().generated_trace();
+    ASSERT_NE(trace.events, nullptr);
+
     std::vector<WhatIfQuery> queries;
     for (const char* line :
-         {"place count=20 cpu=2 mem=4096 hours=0.3", "fail fraction=0.3 seed=7 hours=0.2",
-          "overcommit target=1.6 cpu=2 mem=4096 limit=50", "run hours=0.5",
-          "slo fraction=0.6 hours=0.3", "slo p99=40 policy=uniform hours=0.2"}) {
+         {"slo fraction=0.9 hours=0.5", "place count=20 cpu=2 mem=4096",
+          "slo fraction=0 policy=uniform hours=0.3",
+          "place count=5 cpu=4 mem=8192 hours=0.5", "slo hours=0.4",
+          "slo fraction=0.2 p99=40 hours=0.2", "fail fraction=0.3 seed=7 hours=0.2",
+          "overcommit target=1.6 cpu=2 mem=4096 limit=50", "run hours=0.5"}) {
       Result<WhatIfQuery> query = ParseQuery(line);
       ASSERT_TRUE(query.ok()) << line << ": " << query.error();
       queries.push_back(query.value());
@@ -360,11 +358,16 @@ TEST(WhatIfSharedTraceTest, MixedBatchLeavesTheImageIntact) {
     }
     const std::string report = service.AnswerBatch(queries, 8);
     EXPECT_EQ(report.find("\"error\""), std::string::npos) << report;
-    TelemetryContext telemetry;
-    Result<SimSession> child = service.RestoreChild(&telemetry);
-    ASSERT_TRUE(child.ok()) << child.error();
-    EXPECT_TRUE(child.value().SnapshotBytes() == service.blob())
-        << (interactive ? "interactive" : "plain");
+    // Like the blob, the trace Load verified is read-only: it still hashes
+    // to the checksum Load recorded.
+    EXPECT_EQ(TraceChecksum(*trace.events), trace.fnv) << label;
+    EXPECT_EQ(service.blob_fnv(),
+              SnapshotFnv1a64(service.blob().data(), service.blob().size()))
+        << label;
+    TelemetryContext fresh_telemetry;
+    Result<SimSession> fresh = service.RestoreChild(&fresh_telemetry);
+    ASSERT_TRUE(fresh.ok()) << fresh.error();
+    EXPECT_TRUE(fresh.value().SnapshotBytes() == service.blob()) << label;
   }
 }
 
