@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -75,11 +76,13 @@ std::map<uint64_t, WalRecord> CheckpointMarkers(const WalReadResult& wal) {
   return markers;
 }
 
-// Restores the newest checkpoint that (a) passes the snapshot's own
-// integrity framing and (b) matches its WAL marker fingerprint when the
-// marker survived. Candidates failing either test are skipped -- a crash
-// can leave at most torn garbage, never a wrong-but-plausible file, because
-// snapshot writes are atomic.
+// Restores the newest checkpoint that decodes and, when its WAL marker
+// survived, matches the marker's size and whole-blob digest. Decode checks
+// the footer, so the digest continues from it (SealedSnapshotFnv). A
+// candidate failing either test is skipped: snapshot writes are atomic, so
+// a crash leaves at most a torn or stale file, and Decode touches no
+// telemetry, so a skip leaves the caller's context fresh. A candidate that
+// decodes but fails Build is not crash damage, and fails the recovery.
 Result<SimSession> RestoreNewestCheckpoint(
     const std::string& dir, const WalReadResult& wal,
     const SimSession::RestoreOptions& options) {
@@ -91,44 +94,45 @@ Result<SimSession> RestoreNewestCheckpoint(
       skipped += "\n  " + file.path + ": " + bytes.error();
       continue;
     }
+    const Result<std::shared_ptr<const SimSession::Image>> image =
+        SimSession::Decode(bytes.value());
+    if (!image.ok()) {
+      skipped += "\n  " + file.path + ": " + image.error();
+      continue;
+    }
     const auto marker = markers.find(file.id);
     if (marker != markers.end() &&
         (marker->second.snapshot_size != bytes.value().size() ||
-         marker->second.snapshot_fnv !=
-             SnapshotFnv1a64(bytes.value().data(), bytes.value().size()))) {
+         marker->second.snapshot_fnv != SealedSnapshotFnv(bytes.value()))) {
       skipped += "\n  " + file.path + ": does not match its WAL marker";
       continue;
     }
-    // Cheap full validation (magic/version/checksum) before committing the
-    // caller's telemetry context to a restore attempt.
-    const Result<SnapshotReader> framed = SnapshotReader::OpenView(bytes.value());
-    if (!framed.ok()) {
-      skipped += "\n  " + file.path + ": " + framed.error();
-      continue;
-    }
-    Result<SimSession> session = SimSession::RestoreView(bytes.value(), options);
-    if (session.ok()) {
-      return session;
-    }
-    // A checksum-valid snapshot that fails semantic restore is a format bug,
-    // not crash damage. Retrying is only safe into a fresh private context.
-    if (options.telemetry != nullptr) {
+    Result<SimSession> session = SimSession::Build(*image.value(), options);
+    if (!session.ok()) {
       return Error{"cannot restore " + file.path + ": " + session.error()};
     }
-    skipped += "\n  " + file.path + ": " + session.error();
+    return session;
   }
   return Error{"no recoverable checkpoint in " + dir +
                (skipped.empty() ? " (no ckpt-*.snap files)" : skipped)};
 }
 
-// Read-only replay: re-apply every journaled command. Commands are absolute
-// targets, so records the restored checkpoint already covers no-op.
-void ReplayCommands(SimSession& session, const std::vector<WalRecord>& records) {
+// Re-applies every journaled command. Commands are absolute targets, so the
+// records the restored checkpoint already covers no-op. `step_until` runs a
+// StepUntil record: the read-only recovery only steps, the durable one also
+// cuts the cadence checkpoints the dead process did not live to take.
+template <typename StepUntil>
+Result<bool> ReplayWal(SimSession& session, const std::vector<WalRecord>& records,
+                       StepUntil step_until) {
   for (const WalRecord& record : records) {
     switch (record.kind) {
-      case WalRecordKind::kStepUntil:
-        session.StepUntil(record.t_s);
+      case WalRecordKind::kStepUntil: {
+        const Result<bool> stepped = step_until(record.t_s);
+        if (!stepped.ok()) {
+          return stepped;
+        }
         break;
+      }
       case WalRecordKind::kStepEventsTo: {
         const int64_t diff = record.target_events - session.events_executed();
         if (diff > 0) {
@@ -140,6 +144,7 @@ void ReplayCommands(SimSession& session, const std::vector<WalRecord>& records) 
         break;
     }
   }
+  return true;
 }
 
 // First cadence boundary strictly after `now`.
@@ -164,7 +169,11 @@ Result<SimSession> SimSession::Recover(const std::string& dir,
   if (!session.ok()) {
     return Error{"cannot recover " + dir + ": " + session.error()};
   }
-  ReplayCommands(session.value(), wal.value().records);
+  SimSession& replayed = session.value();
+  ReplayWal(replayed, wal.value().records, [&replayed](double t) -> Result<bool> {
+    replayed.StepUntil(t);
+    return true;
+  });
   return session;
 }
 
@@ -277,26 +286,12 @@ Result<DurableSession> DurableSession::Recover(const Options& options) {
   // cadence boundaries the dead process never reached are checkpointed as
   // the replay crosses them, so a kill chain always makes durable progress
   // (each generation can die and the next resumes further along).
-  for (const WalRecord& record : wal.records) {
-    switch (record.kind) {
-      case WalRecordKind::kStepUntil: {
-        const Result<bool> applied = durable.ApplyStepUntil(record.t_s, false);
-        if (!applied.ok()) {
-          return Error{applied.error()};
-        }
-        break;
-      }
-      case WalRecordKind::kStepEventsTo: {
-        const int64_t diff =
-            record.target_events - durable.session_.events_executed();
-        if (diff > 0) {
-          durable.session_.StepEvents(diff);
-        }
-        break;
-      }
-      case WalRecordKind::kCheckpoint:
-        break;
-    }
+  const Result<bool> replayed =
+      ReplayWal(durable.session_, wal.records, [&durable](double t) {
+        return durable.ApplyStepUntil(t, /*journal=*/false);
+      });
+  if (!replayed.ok()) {
+    return Error{replayed.error()};
   }
   // Post-replay checkpoint (deduped when replay advanced nothing): whatever
   // this recovery recomputed is immediately durable.
@@ -371,8 +366,8 @@ Result<bool> DurableSession::CheckpointInternal(bool forced) {
   // short" (recovery skips it); a file without a marker can only appear if
   // corruption truncated the WAL, and then the file still self-validates.
   const Result<bool> marked = wal_.Append(WalRecord::Checkpoint(
-      id, session_.now(), session_.events_executed(),
-      SnapshotFnv1a64(bytes.data(), bytes.size()), bytes.size()));
+      id, session_.now(), session_.events_executed(), SealedSnapshotFnv(bytes),
+      bytes.size()));
   if (!marked.ok()) {
     return marked;
   }

@@ -142,8 +142,8 @@ class SimSession {
   // length and checksum, or an inlined one against the trace rules and its
   // checksum), the queue payloads, the health and server counts, the fault
   // injector's presence, and no trailing bytes. It takes every snapshot of
-  // a run Open accepted; the what-if service bounds the snapshot's own
-  // cadences on top (WhatIfService::Load).
+  // a run Open accepted; the what-if service bounds each child's cadences
+  // over the hours it runs (WhatIfService::CheckRunCadences).
   static Result<std::shared_ptr<const Image>> Decode(std::string_view bytes);
   // The second half: a session from a decoded image, reading no bytes. It
   // fails only on the placement and slo overrides and on the registry and

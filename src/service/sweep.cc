@@ -203,6 +203,18 @@ Result<SweepGrid> ParseSweepGrid(const std::string& text) {
 
 Result<std::string> SweepOrchestrator::Run(const SweepGrid& grid,
                                            int workers) const {
+  // Every cell steps `hours` with the snapshot's cadences (the policy axis
+  // changes none), so one probe child bounds them all before any cell runs.
+  TelemetryContext probe;
+  const Result<SimSession> child = service_->RestoreChild(&probe);
+  if (!child.ok()) {
+    return Error{"sweep cell restore failed: " + child.error()};
+  }
+  const Result<bool> bounded =
+      service_->CheckRunCadences(child.value().config(), grid.hours);
+  if (!bounded.ok()) {
+    return Error{"sweep refused: " + bounded.error()};
+  }
   // Flatten the axes into canonical cell order: policy outermost, then
   // fail-fraction, overcommit-target, intensity. results[i] belongs to cell
   // i forever; workers race only over *which* cell to run next, never over

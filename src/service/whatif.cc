@@ -31,26 +31,6 @@ VmSpec WhatIfSpec(const WhatIfQuery& query) {
   return spec;
 }
 
-// Every child simulates on with the snapshot's own cadences, so Load bounds
-// them like a run's flags (cadence.h). Restore and Recover do not: the run
-// that cut the snapshot was accepted with them.
-Result<bool> CheckOwnCadences(const ClusterSimConfig& config) {
-  const std::pair<const char*, double> periods[] = {
-      {"sample_period_s", config.sample_period_s},
-      {"reinflate_period_s", config.reinflate_period_s},
-      {"interactive.control_period_s",
-       config.interactive.enabled ? config.interactive.control_period_s : 0.0},
-  };
-  for (const auto& [field, period_s] : periods) {
-    const Result<bool> cadence = CheckCadence(std::string("snapshot's ") + field,
-                                              period_s, config.trace.duration_s);
-    if (!cadence.ok()) {
-      return cadence;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 CrashOutcome CrashHealthyFraction(ClusterManager& manager, double fraction,
@@ -133,10 +113,7 @@ Result<WhatIfService> WhatIfService::Load(std::string blob) {
     return Error{"snapshot blob rejected: " + image.error()};
   }
   WhatIfService service(shared, std::move(image.value()));
-  // Decode verified the footer, the FNV-1a digest of everything before it,
-  // so the whole blob's digest is that one continued over the footer.
-  const char* footer = shared->data() + shared->size() - 8;
-  service.blob_fnv_ = SnapshotFnv1a64(footer, 8, LoadLe(footer, 8));
+  service.blob_fnv_ = SealedSnapshotFnv(*shared);  // Decode verified the footer
   // One probe build runs the imports every child repeats, so a blob that
   // decodes but cannot build fails here, not per query.
   TelemetryContext probe;
@@ -144,13 +121,28 @@ Result<WhatIfService> WhatIfService::Load(std::string blob) {
   if (!check.ok()) {
     return Error{"snapshot blob rejected: " + check.error()};
   }
-  const Result<bool> cadences = CheckOwnCadences(check.value().config());
-  if (!cadences.ok()) {
-    return Error{"snapshot blob rejected: " + cadences.error()};
-  }
   service.base_now_s_ = check.value().now();
   service.base_duration_s_ = check.value().duration_s();
   return service;
+}
+
+Result<bool> WhatIfService::CheckRunCadences(const ClusterSimConfig& config,
+                                             double hours) const {
+  const double span_s =
+      std::min(hours * 3600.0, config.trace.duration_s - base_now_s_);
+  const std::pair<const char*, double> periods[] = {
+      {"sample_period_s", config.sample_period_s},
+      {"reinflate_period_s", config.reinflate_period_s},
+      {"interactive.control_period_s",
+       config.interactive.enabled ? config.interactive.control_period_s : 0.0},
+  };
+  for (const auto& [field, period_s] : periods) {
+    const Result<bool> cadence = CheckCadence(field, period_s, span_s);
+    if (!cadence.ok()) {
+      return cadence;
+    }
+  }
+  return true;
 }
 
 Result<SimSession> WhatIfService::RestoreChild(
@@ -181,6 +173,10 @@ Result<std::string> WhatIfService::Answer(const WhatIfQuery& query) const {
     return Error{"what-if restore failed: " + restored.error()};
   }
   SimSession& session = restored.value();
+  const Result<bool> bounded = CheckRunCadences(session.config(), query.hours);
+  if (!bounded.ok()) {
+    return Error{"what-if run refused: " + bounded.error()};
+  }
   ClusterManager& manager = session.manager();
   const ClusterCounters before = manager.counters();
   // kSlo reports metric deltas over its run; the child's registry arrives

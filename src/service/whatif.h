@@ -67,16 +67,24 @@ class WhatIfService {
   // Takes ownership of the snapshot blob, decodes it once (SimSession::
   // Decode: footer, every section, every bytes-only check) and proves the
   // image with one probe build; a corrupt, inconsistent or version-skewed
-  // blob fails here, not per query. So does a snapshot whose own sample,
-  // reinflation or SLO cadence fires more than kMaxCadenceTicks times over
-  // its horizon, which every child would repeat (Restore still takes it).
+  // blob fails here, not per query. Like Restore, it takes every snapshot
+  // of a run Open accepted, whatever its cadences (CheckRunCadences).
   static Result<WhatIfService> Load(std::string blob);
 
   // Executes one query on a private child session and renders the answer as
   // a single JSON line (fixed key order, deterministic number rendering).
-  // Fails only on restore errors; query-level outcomes (e.g. every
-  // placement rejected) are data in the answer, not errors.
+  // Fails on restore errors and on a run CheckRunCadences refuses;
+  // query-level outcomes (e.g. every placement rejected) are data in the
+  // answer, not errors.
   Result<std::string> Answer(const WhatIfQuery& query) const;
+
+  // Ok when a child with `config`'s sample, reinflation and (when
+  // interactive) SLO cadences fires each at most kMaxCadenceTicks times
+  // over the `hours` it steps from the snapshot's instant, clamped to the
+  // horizon; otherwise an error naming the field. Answer checks each query
+  // with its slo override applied, the sweep its `hours` on a probe child
+  // before any cell runs.
+  Result<bool> CheckRunCadences(const ClusterSimConfig& config, double hours) const;
 
   // Answers every query, fanning over `workers` threads (<= 1 = serial on
   // the caller), and joins the lines in input order with a trailing

@@ -17,6 +17,12 @@ uint64_t SnapshotFnv1a64(const char* data, size_t size, uint64_t hash) {
   return hash;
 }
 
+uint64_t SealedSnapshotFnv(std::string_view sealed) {
+  assert(sealed.size() >= 8);
+  const char* footer = sealed.data() + sealed.size() - 8;
+  return SnapshotFnv1a64(footer, 8, LoadLe(footer, 8));
+}
+
 std::string Hex16(uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));

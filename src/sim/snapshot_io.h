@@ -29,6 +29,11 @@ namespace defl {
 inline constexpr uint64_t kFnv1a64Basis = 14695981039346656037ull;
 inline constexpr uint64_t kFnv1a64Prime = 1099511628211ull;
 uint64_t SnapshotFnv1a64(const char* data, size_t size, uint64_t hash = kFnv1a64Basis);
+// SnapshotFnv1a64 of a whole sealed blob, footer included. The footer is
+// the digest of everything before it, so this continues it over the
+// footer's own 8 bytes instead of re-reading the blob. Only for a blob
+// whose footer OpenView has verified or SnapshotWriter::Finish wrote.
+uint64_t SealedSnapshotFnv(std::string_view sealed);
 // A 64-bit digest as 16 lowercase hex digits, the spelling every report
 // footer and integrity error uses.
 std::string Hex16(uint64_t v);

@@ -14,18 +14,23 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/cluster/durable_session.h"
 #include "src/cluster/sim_session.h"
+#include "src/common/atomic_file.h"
 #include "src/common/cadence.h"
 #include "src/common/crash_point.h"
 #include "src/common/rng.h"
+#include "src/sim/snapshot_io.h"
+#include "src/sim/wal_io.h"
 #include "src/telemetry/telemetry.h"
 
 namespace defl {
@@ -161,6 +166,70 @@ std::string RecoveredExport(const std::string& dir) {
   return Export(telemetry);
 }
 
+// The uninterrupted run: its snapshot at `t_s` and its finished export.
+struct Reference {
+  std::string bytes_at_t;
+  std::string finished;
+};
+
+Reference RunReference(ClusterSimConfig config, double t_s) {
+  TelemetryContext telemetry;
+  config.telemetry = &telemetry;
+  Result<SimSession> session = SimSession::Open(config);
+  EXPECT_TRUE(session.ok()) << session.error();
+  session.value().StepUntil(t_s);
+  Reference reference{session.value().SnapshotBytes(), ""};
+  session.value().Finish();
+  reference.finished = Export(telemetry);
+  return reference;
+}
+
+// The path of the highest-numbered ckpt-*.snap in `dir`.
+std::string NewestCheckpoint(const std::string& dir) {
+  std::string newest;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("ckpt-", 0) == 0) {
+      newest = std::max(newest, entry.path().string());
+    }
+  }
+  return newest;
+}
+
+// Rewrites the run's journal without its last record, the newest
+// checkpoint's marker: a WAL whose tail was lost after the snapshot landed.
+void DropNewestMarker(const std::string& dir) {
+  const std::string path = dir + "/wal.log";
+  const Result<WalReadResult> wal = ReadWalFile(path);
+  ASSERT_TRUE(wal.ok()) << wal.error();
+  const std::vector<WalRecord>& records = wal.value().records;
+  ASSERT_EQ(records.back().kind, WalRecordKind::kCheckpoint);
+  Result<WalWriter> writer = WalWriter::Create(path);
+  ASSERT_TRUE(writer.ok()) << writer.error();
+  for (size_t i = 0; i + 1 < records.size(); ++i) {
+    ASSERT_TRUE(writer.value().Append(records[i]).ok());
+  }
+}
+
+// Rewrites the integrity footer over `blob`'s edited body.
+void Reseal(std::string& blob) {
+  std::string footer;
+  AppendLe(footer, SnapshotFnv1a64(blob.data(), blob.size() - 8), 8);
+  blob.replace(blob.size() - 8, 8, footer);
+}
+
+// Where the placement-policy byte sits in a snapshot of `config`: the
+// config section leads the payload, so it is the first byte at which a
+// snapshot under another policy differs.
+size_t PlacementByteOffset(ClusterSimConfig config) {
+  const std::string a = SimSession::Open(config).value().SnapshotBytes();
+  config.cluster.placement = config.cluster.placement == PlacementPolicy::kFirstFit
+                                 ? PlacementPolicy::kBestFit
+                                 : PlacementPolicy::kFirstFit;
+  const std::string b = SimSession::Open(config).value().SnapshotBytes();
+  return static_cast<size_t>(std::mismatch(a.begin(), a.end(), b.begin()).first -
+                             a.begin());
+}
+
 class DurableRecoveryTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -170,6 +239,50 @@ class DurableRecoveryTest : public testing::Test {
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  DurableSession::Options Options(TelemetryContext* telemetry) const {
+    DurableSession::Options options;
+    options.dir = dir_;
+    options.checkpoint_every_s = 600.0;
+    options.telemetry = telemetry;
+    return options;
+  }
+
+  // A durable run stepped to `t_s` (the horizon: finished), with a
+  // checkpoint every 10 minutes and the newest three kept.
+  void RunDurableTo(ClusterSimConfig config, double t_s) {
+    TelemetryContext telemetry;
+    config.telemetry = &telemetry;
+    Result<DurableSession> durable = DurableSession::Create(config, Options(nullptr));
+    ASSERT_TRUE(durable.ok()) << durable.error();
+    if (t_s >= config.trace.duration_s) {
+      ASSERT_TRUE(durable.value().Finish().ok());
+    } else {
+      ASSERT_TRUE(durable.value().StepUntil(t_s).ok());
+    }
+  }
+
+  // Both recoveries, each into a caller context, skip the damaged newest
+  // checkpoint: they restore an older one, replay the journal to the
+  // reference instant and finish on the uninterrupted bytes.
+  void ExpectBothRecoveriesLandOn(const Reference& reference) {
+    {
+      TelemetryContext telemetry;
+      SimSession::RestoreOptions options;
+      options.telemetry = &telemetry;
+      Result<SimSession> session = SimSession::Recover(dir_, options);
+      ASSERT_TRUE(session.ok()) << session.error();
+      EXPECT_EQ(session.value().SnapshotBytes(), reference.bytes_at_t);
+      session.value().Finish();
+      EXPECT_EQ(Export(telemetry), reference.finished);
+    }
+    TelemetryContext telemetry;
+    Result<DurableSession> durable = DurableSession::Recover(Options(&telemetry));
+    ASSERT_TRUE(durable.ok()) << durable.error();
+    EXPECT_EQ(durable.value().session().SnapshotBytes(), reference.bytes_at_t);
+    ASSERT_TRUE(durable.value().Finish().ok());
+    EXPECT_EQ(Export(telemetry), reference.finished);
+  }
 
   std::string dir_;
 };
@@ -296,6 +409,50 @@ TEST_F(DurableRecoveryTest, LongReplayResumesAndRecovers) {
   const Result<DurableSession> recovered = DurableSession::Recover(options);
   ASSERT_TRUE(recovered.ok()) << recovered.error();
   EXPECT_EQ(recovered.value().session().SnapshotBytes(), bytes);
+}
+
+TEST_F(DurableRecoveryTest, FlippedByteInTheNewestCheckpointFallsBackToAnOlder) {
+  const ClusterSimConfig config = BaseConfig();
+  RunDurableTo(config, config.trace.duration_s);
+  const std::string newest = NewestCheckpoint(dir_);
+  std::string blob = ReadFileToString(newest).value();
+  blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x10);
+  ASSERT_TRUE(WriteFileAtomic(newest, blob).ok());
+  ExpectBothRecoveriesLandOn(RunReference(config, config.trace.duration_s));
+}
+
+// A sound snapshot of the same run, cut 30 minutes past the journal's last
+// command: its footer checks, but it does not match its WAL marker.
+TEST_F(DurableRecoveryTest, CheckpointOfAnotherInstantFallsBackToAnOlder) {
+  const ClusterSimConfig config = BaseConfig();
+  RunDurableTo(config, 3600.0);
+  const std::string later = RunReference(config, 5400.0).bytes_at_t;
+  ASSERT_TRUE(SimSession::Decode(later).ok());
+  ASSERT_TRUE(WriteFileAtomic(NewestCheckpoint(dir_), later).ok());
+  ExpectBothRecoveriesLandOn(RunReference(config, 3600.0));
+}
+
+// A checkpoint that passes its checksum but fails Decode (an out-of-range
+// enum byte, resealed like tests/corpus/snapshot_bad_placement.snap) is
+// skipped too, even with its marker gone so that only Decode can tell:
+// Decode touches no telemetry, so the caller's context is still fresh for
+// the older checkpoint.
+TEST_F(DurableRecoveryTest, CheckpointThatFailsDecodeFallsBackToAnOlder) {
+  const ClusterSimConfig config = BaseConfig();
+  RunDurableTo(config, config.trace.duration_s);
+  DropNewestMarker(dir_);
+  const std::string newest = NewestCheckpoint(dir_);
+  std::string blob = ReadFileToString(newest).value();
+  blob[PlacementByteOffset(config)] = 9;
+  Reseal(blob);
+  ASSERT_TRUE(SnapshotReader::OpenView(blob).ok());
+  const Result<std::shared_ptr<const SimSession::Image>> decoded = SimSession::Decode(blob);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().find("placement policy byte 9 is out of range"),
+            std::string::npos)
+      << decoded.error();
+  ASSERT_TRUE(WriteFileAtomic(newest, blob).ok());
+  ExpectBothRecoveriesLandOn(RunReference(config, config.trace.duration_s));
 }
 
 TEST_F(DurableRecoveryTest, DirectoryKilledBeforeGenesisIsNotRecoverable) {

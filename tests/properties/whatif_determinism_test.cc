@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -190,22 +191,24 @@ TEST(WhatIfDeterminismTest, LoadTakesTheBlobDigestFromTheFooter) {
   }
 }
 
-// Open and Restore take a snapshot whose own cadence fires more than
-// kMaxCadenceTicks times over its horizon, but every child would repeat the
-// ticks: one `run hours=1` child of a 1 ms reinflation period would run 3.6M
-// sweeps. Load refuses it, naming the field.
-TEST(WhatIfDeterminismTest, LoadRejectsASnapshotWhoseOwnCadenceIsUnbounded) {
+// Open, Restore and Load take a snapshot whose own cadence fires more than
+// kMaxCadenceTicks times over its horizon. A child bounds its cadences over
+// the hours it runs instead: one `run hours=1` child of a 1 ms reinflation
+// period would run 3.6M sweeps, so it answers an error naming the field,
+// and a sweep of that many hours fails before any cell runs. A query that
+// does not step, or steps briefly enough, still answers.
+TEST(WhatIfDeterminismTest, ChildBoundsItsCadencesOverTheHoursItRuns) {
   struct Case {
     const char* field;
     void (*set)(ClusterSimConfig&);
   };
   const Case cases[] = {
       {"reinflate_period_s", [](ClusterSimConfig& c) { c.reinflate_period_s = 1e-3; }},
-      {"sample_period_s", [](ClusterSimConfig& c) { c.sample_period_s = 0.5; }},
+      {"sample_period_s", [](ClusterSimConfig& c) { c.sample_period_s = 0.01; }},
       {"interactive.control_period_s",
        [](ClusterSimConfig& c) {
          c.interactive.enabled = true;
-         c.interactive.control_period_s = 0.5;
+         c.interactive.control_period_s = 0.01;
        }},
   };
   for (const Case& c : cases) {
@@ -216,14 +219,37 @@ TEST(WhatIfDeterminismTest, LoadRejectsASnapshotWhoseOwnCadenceIsUnbounded) {
     c.set(config);
     Result<SimSession> session = SimSession::Open(config);
     ASSERT_TRUE(session.ok()) << c.field << ": " << session.error();
-    const std::string bytes = session.value().SnapshotBytes();
-    ASSERT_TRUE(SimSession::RestoreView(bytes, {}).ok()) << c.field;
-    Result<WhatIfService> loaded = WhatIfService::Load(bytes);
-    ASSERT_FALSE(loaded.ok()) << c.field;
-    EXPECT_NE(loaded.error().find(std::string("snapshot blob rejected: snapshot's ") +
-                                  c.field + " fires"),
-              std::string::npos)
-        << loaded.error();
+    Result<WhatIfService> loaded = WhatIfService::Load(session.value().SnapshotBytes());
+    ASSERT_TRUE(loaded.ok()) << c.field << ": " << loaded.error();
+    const WhatIfService& service = loaded.value();
+
+    std::vector<WhatIfQuery> queries;
+    for (const char* line : {"place count=1 cpu=1", "run hours=1", "run hours=0.01"}) {
+      Result<WhatIfQuery> query = ParseQuery(line);
+      ASSERT_TRUE(query.ok()) << line << ": " << query.error();
+      queries.push_back(query.value());
+    }
+    std::vector<std::string> lines;
+    std::istringstream report(service.AnswerBatch(queries, 1));
+    for (std::string line; std::getline(report, line);) {
+      lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 4u) << c.field;
+    EXPECT_EQ(lines[0].rfind("{\"kind\":\"place\",", 0), 0u) << lines[0];
+    EXPECT_EQ(lines[1].rfind(std::string("{\"error\":\"what-if run refused: ") +
+                                 c.field + " fires ",
+                             0),
+              0u)
+        << lines[1];
+    EXPECT_EQ(lines[2].rfind("{\"kind\":\"run\",\"hours\":0.01,", 0), 0u) << lines[2];
+
+    Result<SweepGrid> grid = ParseSweepGrid("hours = 1\n");
+    ASSERT_TRUE(grid.ok()) << grid.error();
+    const Result<std::string> swept = SweepOrchestrator(&service).Run(grid.value(), 1);
+    ASSERT_FALSE(swept.ok()) << c.field;
+    EXPECT_EQ(swept.error().rfind(std::string("sweep refused: ") + c.field + " fires ", 0),
+              0u)
+        << swept.error();
   }
 }
 

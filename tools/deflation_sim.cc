@@ -5,7 +5,7 @@
 // overcommitment, preemption probability, delivered resource-hours, and the
 // Section 8 pricing comparison. Long runs can checkpoint to disk and resume
 // later: a killed-and-resumed run produces byte-identical --metrics-out /
-// --trace-out files to an uninterrupted one (DESIGN.md §11).
+// --trace-out files to an uninterrupted one (DESIGN.md §11, §13).
 //
 // Examples:
 //   deflation_sim --servers=100                               # default workload
@@ -13,11 +13,12 @@
 //   deflation_sim --strategy=preemption --placement=2-choices --workload=w.workload
 //   deflation_sim --save-trace=generated.csv --workload=w.workload
 //   deflation_sim --pricing --metrics-out=metrics.json --trace-out=events.jsonl
-//   deflation_sim --snapshot-every-h=6 --snapshot-out=run.snap
 //   deflation_sim --stop-after-h=6 --snapshot-out=run.snap   # checkpoint + exit
 //   deflation_sim --resume-from=run.snap                     # continue it
 //   deflation_sim --durable-dir=run.d   # crash-safe: WAL + auto-checkpoints;
 //                                       # rerun the same command to recover
+//   deflation_sim --durable-dir=run.d --checkpoint-every-h=6 --checkpoint-min-wall-s=0
+//   deflation_sim --resume-from=run.d/ckpt-000002.snap       # any checkpoint resumes
 //
 // Every workload setting -- offered load, horizon, transient share, seeds,
 // trace replay, fault plan, the diurnal arrival model, the interactive mix --
@@ -54,7 +55,6 @@ struct Options {
   bool pricing = false;
   std::string save_trace;
   double recovery_grace_s = 600.0;
-  double snapshot_every_h = 0.0;
   std::string snapshot_out;
   std::string resume_from;
   double stop_after_h = 0.0;
@@ -159,7 +159,6 @@ Result<ClusterSimConfig> BuildFreshConfig(const Options& opt,
   // past duration-h -- and before --save-trace writes anything.
   for (const auto& [what, period_s] :
        {std::pair<std::string, double>{"--reinflate-period-s", opt.reinflate_period_s},
-        {"--snapshot-every-h", opt.snapshot_every_h * 3600.0},
         {opt.workload + ": 'slo-period-s'", spec.interactive ? spec.slo_period_s : 0.0}}) {
     const Result<bool> cadence = CheckCadence(what, period_s, config.trace.duration_s);
     if (!cadence.ok()) {
@@ -288,11 +287,7 @@ int main(int argc, char** argv) {
   parser.AddDouble("recovery-grace-s",
                    "probation before a recovered server takes placements",
                    &opt.recovery_grace_s);
-  parser.AddDouble("snapshot-every-h",
-                   "checkpoint to --snapshot-out every N simulated hours (0 = off)",
-                   &opt.snapshot_every_h);
-  parser.AddString("snapshot-out", "checkpoint file for --snapshot-every-h / "
-                   "--stop-after-h",
+  parser.AddString("snapshot-out", "checkpoint file for --stop-after-h",
                    &opt.snapshot_out);
   parser.AddString("resume-from",
                    "restore the simulation from this snapshot instead of "
@@ -342,9 +337,6 @@ int main(int argc, char** argv) {
                                  "snapshot-out", !opt.snapshot_out.empty(),
                                  "the durable dir manages its own checkpoints"),
            RejectFlagCombination("durable-dir", !opt.durable_dir.empty(),
-                                 "snapshot-every-h", opt.snapshot_every_h > 0.0,
-                                 "use --checkpoint-every-h inside the durable dir"),
-           RejectFlagCombination("durable-dir", !opt.durable_dir.empty(),
                                  "stop-after-h", opt.stop_after_h > 0.0,
                                  "a durable run is always resumable; just kill it"),
            RejectFlagCombination("durable-dir", !opt.durable_dir.empty(),
@@ -355,15 +347,14 @@ int main(int argc, char** argv) {
       return Fail(check.error());
     }
   }
-  if (opt.stop_after_h > 0.0 && opt.snapshot_out.empty()) {
-    return Fail("--stop-after-h requires --snapshot-out");
-  }
-  if (opt.snapshot_every_h > 0.0 && opt.snapshot_out.empty()) {
-    return Fail("--snapshot-every-h requires --snapshot-out");
+  // The one snapshot a plain run writes is the one it stops at; periodic
+  // checkpoints are --durable-dir's, and every ckpt-*.snap resumes.
+  if ((opt.stop_after_h > 0.0) != !opt.snapshot_out.empty()) {
+    return Fail("--stop-after-h and --snapshot-out go together");
   }
   if (opt.durable_dir.empty() &&
-      (opt.checkpoint_every_h != 1.0 || opt.checkpoint_min_wall_s != 5.0 ||
-       opt.keep_checkpoints != 3)) {
+      (parser.WasSet("checkpoint-every-h") || parser.WasSet("checkpoint-min-wall-s") ||
+       parser.WasSet("keep-checkpoints"))) {
     return Fail("--checkpoint-every-h / --checkpoint-min-wall-s / "
                 "--keep-checkpoints require --durable-dir");
   }
@@ -453,11 +444,6 @@ int main(int argc, char** argv) {
     if (!session.ok()) {
       return Fail(session.error());
     }
-    const Result<bool> cadence = CheckCadence(
-        "--snapshot-every-h", opt.snapshot_every_h * 3600.0, session.value().duration_s());
-    if (!cadence.ok()) {
-      return Fail(cadence.error());
-    }
     std::printf("resumed from %s at t=%.2fh (%lld events executed)\n",
                 opt.resume_from.c_str(), session.value().now() / 3600.0,
                 static_cast<long long>(session.value().events_executed()));
@@ -485,18 +471,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(sim.events_executed()),
                 opt.snapshot_out.c_str());
     return 0;
-  }
-  if (opt.snapshot_every_h > 0.0) {
-    const double period_s = opt.snapshot_every_h * 3600.0;
-    for (double t = sim.now() + period_s; t < sim.duration_s(); t += period_s) {
-      sim.StepUntil(t);
-      const Result<bool> saved = sim.Snapshot(opt.snapshot_out);
-      if (!saved.ok()) {
-        return Fail(saved.error());
-      }
-      std::printf("checkpointed at t=%.2fh to %s\n", sim.now() / 3600.0,
-                  opt.snapshot_out.c_str());
-    }
   }
   const ClusterSimResult r = sim.Finish();
   return WriteOutputsAndReport(opt, common, telemetry, cfg, r);
