@@ -49,8 +49,8 @@ Result<bool> ValidateConfig(const ClusterSimConfig& config) {
   if (config.reinflate_period_s < 0.0) {
     return Error{"reinflate_period_s must be non-negative"};
   }
-  if (config.trace.duration_s < 0.0) {
-    return Error{"trace.duration_s must be non-negative"};
+  if (!(config.trace.duration_s >= 0.0) || !std::isfinite(config.trace.duration_s)) {
+    return Error{"trace.duration_s must be non-negative and finite"};
   }
   if (config.recovery_grace_s < 0.0) {
     return Error{"recovery_grace_s must be non-negative"};
@@ -527,13 +527,19 @@ std::unique_ptr<SimSession::State> BuildCore(std::unique_ptr<SimSession::State> 
 }
 
 // Pending arrival events index into the trace, so it must be the one the
-// run used: a generated trace is rerun and must have the stored length and
-// checksum (a generator that drifted across builds fails the restore
-// instead of corrupting it); an inlined one must keep the trace rules and
-// match its checksum, and is never re-sampled.
+// run used: a generated trace is rerun -- only on a config the generator
+// can run on -- and must have the stored length and checksum (a generator
+// that drifted across builds fails the restore instead of corrupting it);
+// an inlined one must keep the trace rules and match its checksum, and is
+// never re-sampled.
 void DecodeTrace(SnapshotDecoder& io, StoredTrace stored, SimSession::Image& image) {
   std::vector<TraceEvent> events;
   if (stored.generated) {
+    if (const char* invalid = TraceConfigError(image.config.trace)) {
+      io.Fail(std::string("snapshot's elided arrival trace cannot be regenerated: ") +
+              invalid);
+      return;
+    }
     events = GenerateSessionTrace(image.config);
     const uint64_t fnv = TraceChecksum(events);
     if (events.size() != stored.length || fnv != stored.fnv) {
@@ -645,6 +651,11 @@ Result<SimSession> SimSession::Open(const ClusterSimConfig& config) {
   const Result<bool> valid = ValidateConfig(config);
   if (!valid.ok()) {
     return Error{"invalid ClusterSimConfig: " + valid.error()};
+  }
+  if (config.explicit_trace.empty()) {
+    if (const char* invalid = TraceConfigError(config.trace)) {
+      return Error{std::string("invalid ClusterSimConfig: ") + invalid};
+    }
   }
   auto state = std::make_unique<State>();
   state->config = config;

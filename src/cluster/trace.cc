@@ -133,6 +133,38 @@ const char* TraceEventError(const TraceEvent& event, double previous_arrival_s) 
   return nullptr;
 }
 
+const char* TraceConfigError(const TraceConfig& config) {
+  if (!(config.duration_s >= 0.0) || !std::isfinite(config.duration_s)) {
+    return "trace.duration_s must be non-negative and finite";
+  }
+  if (!(config.arrival_rate_per_s > 0.0) || !std::isfinite(config.arrival_rate_per_s)) {
+    return "trace.arrival_rate_per_s must be positive and finite";
+  }
+  if (!(config.lifetime_alpha > 0.0) || !std::isfinite(config.lifetime_alpha)) {
+    return "trace.lifetime_alpha must be positive and finite";
+  }
+  if (!(config.min_lifetime_s > 0.0) || !std::isfinite(config.min_lifetime_s)) {
+    return "trace.min_lifetime_s must be positive and finite";
+  }
+  if (!(config.max_lifetime_s > config.min_lifetime_s) ||
+      !std::isfinite(config.max_lifetime_s)) {
+    return "trace.max_lifetime_s must be finite and exceed trace.min_lifetime_s";
+  }
+  // Rng::BoundedPareto divides by min^alpha * max^alpha: once either power
+  // leaves a double's normal range, every lifetime it draws is NaN or 0,
+  // and once the two round to one value, every lifetime is 1 s.
+  const double la = std::pow(config.min_lifetime_s, config.lifetime_alpha);
+  const double ha = std::pow(config.max_lifetime_s, config.lifetime_alpha);
+  if (!std::isnormal(la) || !std::isnormal(ha) || !std::isnormal(la * ha) || !(la < ha)) {
+    return "trace.lifetime_alpha is outside the bounded Pareto's numeric range "
+           "for this lifetime range";
+  }
+  if (config.catalog.empty()) {
+    return "trace.catalog must not be empty";
+  }
+  return nullptr;
+}
+
 std::string ValidateTrace(const std::vector<TraceEvent>& trace) {
   double previous_arrival_s = 0.0;
   for (size_t i = 0; i < trace.size(); ++i) {

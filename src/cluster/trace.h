@@ -73,6 +73,18 @@ std::vector<TraceEvent> GenerateArrivalTrace(const TraceConfig& config,
 // fit within the size. The first event's previous arrival is 0.
 const char* TraceEventError(const TraceEvent& event, double previous_arrival_s);
 
+// Why GenerateArrivalTrace cannot run on `config`, or null if it can,
+// naming the first field at fault. The horizon must be non-negative and
+// finite, and the arrival rate positive and finite: the arrival clock only
+// stops at the horizon, so a rate of zero or less would never reach it.
+// The lifetimes are a bounded Pareto, which needs a positive, finite tail
+// index, 0 < min_lifetime_s < max_lifetime_s < inf, and each bound raised
+// to the tail index distinct and (with their product) within a double's
+// normal range; every arrival draws from the catalog, which must not be
+// empty. Only a generated trace needs
+// this: an explicit trace leaves these fields unused.
+const char* TraceConfigError(const TraceConfig& config);
+
 // "event <index>: <reason>" for the first event of `trace` that breaks
 // TraceEventError's rules; "" for a valid trace. The CSV loader applies
 // the same rules row by row.

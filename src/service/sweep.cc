@@ -1,7 +1,7 @@
 #include "src/service/sweep.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string_view>
 
 #include "src/common/text_parse.h"
@@ -71,12 +71,12 @@ Result<std::string> RunCell(const WhatIfService& service, const SweepGrid& grid,
       CrashHealthyFraction(manager, fail_fraction, grid.fail_seed);
 
   // 2. Admission stage: push `shape` VMs (the intensity axis scales the
-  // budget) until the overcommit target is reached or a launch bounces.
-  // A budget past int64 saturates: the cast would be undefined, and the
-  // target or the first bounce still bounds the loop.
-  const double scaled = std::floor(intensity * static_cast<double>(grid.limit) + 0.5);
-  const int64_t budget = scaled < 0x1p63 ? static_cast<int64_t>(scaled)
-                                         : std::numeric_limits<int64_t>::max();
+  // budget) until the overcommit target is reached, a launch bounces or
+  // the budget runs out. The budget is capped like a query's, which also
+  // keeps the cast defined for any intensity.
+  const int64_t budget = static_cast<int64_t>(
+      std::min(std::floor(intensity * static_cast<double>(grid.limit) + 0.5),
+               static_cast<double>(kMaxQueryLaunches)));
   VmSpec spec;
   spec.name = "sweep";
   spec.size = grid.shape;
@@ -179,6 +179,10 @@ Result<SweepGrid> ParseSweepGrid(const std::string& text) {
       if (!ParseInt64(value, &grid.limit) || grid.limit < 1) {
         return Error{where + ": limit '" + value + "' is not an integer >= 1"};
       }
+      if (grid.limit > kMaxQueryLaunches) {
+        return Error{where + ": limit=" + value + " exceeds the cap of " +
+                     std::to_string(kMaxQueryLaunches) + " launches per cell"};
+      }
     } else {
       return Error{where + ": unknown key '" + key + "'"};
     }
@@ -252,14 +256,7 @@ Result<std::string> SweepOrchestrator::Run(const SweepGrid& grid,
     }
   };
   const int64_t n = static_cast<int64_t>(cells.size());
-  if (workers <= 1) {
-    for (int64_t i = 0; i < n; ++i) {
-      run_cell(i);
-    }
-  } else {
-    ThreadPool pool(workers);
-    pool.ParallelFor(n, run_cell);
-  }
+  ParallelFor(n, workers, run_cell);
   for (int64_t i = 0; i < n; ++i) {
     if (!errors[static_cast<size_t>(i)].empty()) {
       return Error{"sweep cell " + std::to_string(i) + " failed: " +

@@ -19,6 +19,10 @@
 //   shape = 2:4096                      # admitted VM size cpu:mem[:disk[:net]]
 //   fail-seed = 7                       # victim-draw seed (shared by cells)
 //   limit = 1000                        # admission budget at intensity 1.0
+//
+// A cell's admission budget is round(intensity x limit), capped at
+// kMaxQueryLaunches (10,000), the most launches one what-if query may ask
+// for; a `limit` above that cap is a parse error.
 #ifndef SRC_SERVICE_SWEEP_H_
 #define SRC_SERVICE_SWEEP_H_
 
@@ -45,7 +49,8 @@ struct SweepGrid {
   double hours = 1.0;      // >= 0
   ResourceVector shape = ResourceVector(2.0, 4096.0);
   uint64_t fail_seed = 1;
-  int64_t limit = 1000;    // admissions attempted at intensity 1.0
+  // Admissions attempted at intensity 1.0, in [1, kMaxQueryLaunches].
+  int64_t limit = 1000;
 
   int64_t Cells() const {
     return static_cast<int64_t>(policies.size() * fail_fractions.size() *

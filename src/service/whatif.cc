@@ -322,15 +322,7 @@ std::string WhatIfService::AnswerBatch(const std::vector<WhatIfQuery>& queries,
         answer.ok() ? answer.value()
                     : "{\"error\":" + JsonString(answer.error()) + "}";
   };
-  const int64_t n = static_cast<int64_t>(queries.size());
-  if (workers <= 1) {
-    for (int64_t i = 0; i < n; ++i) {
-      answer_one(i);
-    }
-  } else {
-    ThreadPool pool(workers);
-    pool.ParallelFor(n, answer_one);
-  }
+  ParallelFor(static_cast<int64_t>(queries.size()), workers, answer_one);
   std::string out;
   for (const std::string& line : lines) {
     out += line;

@@ -8,7 +8,8 @@
 // trace through a cursor merged with the event heap, so same-instant
 // stragglers, a pending arrival behind a heap past the horizon, and the
 // pending-event count are pinned here too, as is the trace validation
-// Open and restore share with the CSV loader.
+// Open and restore share with the CSV loader, and the generator config
+// check they run before generating a trace.
 #include "src/cluster/sim_session.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -90,6 +92,108 @@ TEST(SimSessionTest, OpenRejectsInvalidConfig) {
   config = SmallSim();
   config.sample_period_s = 0.0;
   EXPECT_FALSE(SimSession::Open(config).ok());
+}
+
+// Open of `config` fails, naming `field`.
+void ExpectOpenRejects(const ClusterSimConfig& config, const std::string& field) {
+  const Result<SimSession> session = SimSession::Open(config);
+  ASSERT_FALSE(session.ok()) << field;
+  EXPECT_NE(session.error().find(field), std::string::npos) << session.error();
+}
+
+// The trace generator's fields are checked before Open generates from them.
+TEST(SimSessionTest, OpenRejectsAnArrivalRateThatNeverReachesTheHorizon) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double rate : {-0.01, 0.0, inf, std::nan("")}) {
+    ClusterSimConfig config = SmallSim();
+    config.trace.arrival_rate_per_s = rate;
+    ExpectOpenRejects(config, "trace.arrival_rate_per_s");
+  }
+}
+
+TEST(SimSessionTest, OpenRejectsAnEmptyLifetimeRange) {
+  // A workload shorter than the 600 s minimum lifetime, as deflation_sim
+  // builds it: max_lifetime_s = min(duration, 8 h).
+  ClusterSimConfig config = SmallSim();
+  config.trace.max_lifetime_s = 180.0;
+  ExpectOpenRejects(config, "trace.max_lifetime_s");
+  config.trace.max_lifetime_s = config.trace.min_lifetime_s;
+  ExpectOpenRejects(config, "trace.max_lifetime_s");
+  config.trace.max_lifetime_s = std::numeric_limits<double>::infinity();
+  ExpectOpenRejects(config, "trace.max_lifetime_s");
+  config = SmallSim();
+  config.trace.min_lifetime_s = 0.0;
+  ExpectOpenRejects(config, "trace.min_lifetime_s");
+}
+
+TEST(SimSessionTest, OpenRejectsALifetimeAlphaTheParetoCannotUse) {
+  // 3600^120 overflows a double, and every lifetime drawn would be NaN; at
+  // 1e-300 both bounds' powers round to 1, and every lifetime would be 1 s.
+  for (const double alpha :
+       {0.0, -1.5, std::numeric_limits<double>::infinity(), 120.0, 1e-300}) {
+    ClusterSimConfig config = SmallSim();
+    config.trace.lifetime_alpha = alpha;
+    ExpectOpenRejects(config, "trace.lifetime_alpha");
+  }
+}
+
+TEST(SimSessionTest, OpenRejectsAnEmptyCatalog) {
+  ClusterSimConfig config = SmallSim();
+  config.trace.catalog.clear();
+  ExpectOpenRejects(config, "trace.catalog");
+}
+
+TEST(SimSessionTest, OpenRejectsAnInfiniteDuration) {
+  ClusterSimConfig config = SmallSim();
+  config.trace.duration_s = std::numeric_limits<double>::infinity();
+  ExpectOpenRejects(config, "trace.duration_s");
+  // With an explicit trace too: the run's ticks stop only at the horizon.
+  config.explicit_trace = GenerateTrace(SmallSim().trace);
+  ExpectOpenRejects(config, "trace.duration_s");
+}
+
+TEST(SimSessionTest, ExplicitTraceLeavesTheGeneratorFieldsUnchecked) {
+  // A short replay: deflation_sim sets max_lifetime_s below min_lifetime_s.
+  ClusterSimConfig config = SmallSim();
+  config.explicit_trace = GenerateTrace(config.trace);
+  config.trace.max_lifetime_s = 180.0;
+  config.trace.arrival_rate_per_s = -1.0;
+  config.trace.catalog.clear();
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  session.value().StepUntil(1800.0);
+  const Result<SimSession> restored =
+      SimSession::RestoreView(session.value().SnapshotBytes(), {});
+  ASSERT_TRUE(restored.ok()) << restored.error();
+}
+
+TEST(SimSessionTest, DecodeRejectsAGeneratedTraceWithANegativeArrivalRate) {
+  const ClusterSimConfig config = SmallSim();
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  session.value().StepUntil(1800.0);
+  const std::string bytes = session.value().SnapshotBytes();
+
+  // The rate is stored once, as its own 8 bytes in the config section.
+  const uint64_t rate_bits = std::bit_cast<uint64_t>(config.trace.arrival_rate_per_s);
+  std::string rate(8, '\0');
+  PutU64(rate, 0, rate_bits);
+  const size_t at = bytes.find(rate);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(rate, at + 1), std::string::npos);
+
+  // Resealed, so only the generator check can object; regenerating would
+  // append arrivals forever, since the clock only moves back.
+  std::string patched = bytes;
+  PutU64(patched, at, std::bit_cast<uint64_t>(-config.trace.arrival_rate_per_s));
+  Reseal(patched);
+  const Result<std::shared_ptr<const SimSession::Image>> image =
+      SimSession::Decode(patched);
+  ASSERT_FALSE(image.ok());
+  EXPECT_NE(image.error().find("trace cannot be regenerated: "
+                               "trace.arrival_rate_per_s must be positive"),
+            std::string::npos)
+      << image.error();
 }
 
 TEST(SimSessionTest, SteppedRunEqualsBatchRun) {

@@ -276,6 +276,18 @@ TEST(SweepGridTest, RejectsMalformedInput) {
                       {"sweep grid:1:", "'policy' has no value"});
 }
 
+TEST(SweepGridTest, LimitIsCappedLikeAQuerysLaunches) {
+  // A tiny shape, an unreachable target and a billion admissions per cell
+  // would launch VMs until memory ran out; the error names the line and cap.
+  ExpectErrorMentions(ParseSweepGrid("shape = 0.000001:0\n"
+                                     "overcommit-target = 1e9\n"
+                                     "limit = 1000000000\n"),
+                      {"sweep grid:3:", "limit=1000000000", "cap of 10000"});
+  // Exactly at the cap is allowed; one more is not.
+  EXPECT_EQ(ParseSweepGrid("limit = 10000\n").value().limit, kMaxQueryLaunches);
+  EXPECT_FALSE(ParseSweepGrid("limit = 10001\n").ok());
+}
+
 TEST(SweepGridTest, HeaderExampleWithInlineCommentsParses) {
   // The grid documented in sweep.h, verbatim, comments and all.
   const Result<SweepGrid> commented = ParseSweepGrid(

@@ -166,6 +166,9 @@ Result<ClusterSimConfig> BuildFreshConfig(const Options& opt,
     }
   }
   if (!opt.save_trace.empty()) {
+    if (const char* invalid = TraceConfigError(config.trace)) {
+      return Error{std::string("cannot generate --save-trace: ") + invalid};
+    }
     const std::vector<TraceEvent> generated =
         GenerateArrivalTrace(config.trace, config.arrivals);
     const Result<bool> saved = SaveTraceFile(generated, opt.save_trace);
