@@ -96,9 +96,12 @@ Result<bool> ValidateConfig(const ClusterSimConfig& config) {
   return true;
 }
 
-// The config's generated trace, tagged with its interactive mix.
-std::vector<TraceEvent> GenerateSessionTrace(const ClusterSimConfig& config) {
-  std::vector<TraceEvent> events = GenerateArrivalTrace(config.trace, config.arrivals);
+// The config's generated trace, tagged with its interactive mix; `limit` as
+// for GenerateArrivalTrace.
+std::vector<TraceEvent> GenerateSessionTrace(const ClusterSimConfig& config,
+                                             size_t limit = kUnlimitedArrivals) {
+  std::vector<TraceEvent> events =
+      GenerateArrivalTrace(config.trace, config.arrivals, limit);
   if (config.interactive.enabled) {
     ApplyInteractiveMix(events, config.interactive);
   }
@@ -528,10 +531,11 @@ std::unique_ptr<SimSession::State> BuildCore(std::unique_ptr<SimSession::State> 
 
 // Pending arrival events index into the trace, so it must be the one the
 // run used: a generated trace is rerun -- only on a config the generator
-// can run on -- and must have the stored length and checksum (a generator
-// that drifted across builds fails the restore instead of corrupting it);
-// an inlined one must keep the trace rules and match its checksum, and is
-// never re-sampled.
+// can run on, and only one arrival past the stored length, so a config
+// whose rate was raised cannot run it out to its horizon -- and must have
+// the stored length and checksum (a generator that drifted across builds
+// fails the restore instead of corrupting it); an inlined one must keep
+// the trace rules and match its checksum, and is never re-sampled.
 void DecodeTrace(SnapshotDecoder& io, StoredTrace stored, SimSession::Image& image) {
   std::vector<TraceEvent> events;
   if (stored.generated) {
@@ -540,7 +544,14 @@ void DecodeTrace(SnapshotDecoder& io, StoredTrace stored, SimSession::Image& ima
               invalid);
       return;
     }
-    events = GenerateSessionTrace(image.config);
+    const uint64_t limit = std::max(stored.length, stored.length + 1);  // saturating
+    events = GenerateSessionTrace(image.config, limit);
+    if (events.size() > stored.length) {
+      io.Fail("snapshot's elided arrival trace cannot be regenerated: the "
+              "generator runs past the " +
+              std::to_string(stored.length) + " arrivals the snapshot recorded");
+      return;
+    }
     const uint64_t fnv = TraceChecksum(events);
     if (events.size() != stored.length || fnv != stored.fnv) {
       io.Fail("snapshot's elided arrival trace cannot be regenerated: the "

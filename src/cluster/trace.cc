@@ -64,9 +64,8 @@ double TotalCatalogWeight(const TraceConfig& config) {
   return total_weight;
 }
 
-}  // namespace
-
-std::vector<TraceEvent> GenerateTrace(const TraceConfig& config) {
+// GenerateTrace's arrivals, stopped once `limit` events are drawn.
+std::vector<TraceEvent> FlatTrace(const TraceConfig& config, size_t limit) {
   assert(config.arrival_rate_per_s > 0.0 && !config.catalog.empty());
   Rng rng(config.seed);
   const double total_weight = TotalCatalogWeight(config);
@@ -84,18 +83,19 @@ std::vector<TraceEvent> GenerateTrace(const TraceConfig& config) {
   }
   double t = rng.Exponential(config.arrival_rate_per_s);
   int64_t next_id = 0;
-  while (t < config.duration_s) {
+  while (t < config.duration_s && events.size() < limit) {
     events.push_back(SampleEvent(config, total_weight, t, next_id++, rng));
     t += rng.Exponential(config.arrival_rate_per_s);
   }
   return events;
 }
 
-std::vector<TraceEvent> GenerateDiurnalTrace(const TraceConfig& config,
-                                             const ArrivalGenConfig& arrivals) {
+// GenerateDiurnalTrace's arrivals, stopped once `limit` events are drawn.
+std::vector<TraceEvent> DiurnalTrace(const TraceConfig& config,
+                                     const ArrivalGenConfig& arrivals, size_t limit) {
   assert(config.arrival_rate_per_s > 0.0 && !config.catalog.empty());
   const std::vector<double> times = GenerateArrivalTimes(
-      arrivals, config.arrival_rate_per_s, config.duration_s);
+      arrivals, config.arrival_rate_per_s, config.duration_s, limit);
   Rng rng(config.seed);
   const double total_weight = TotalCatalogWeight(config);
 
@@ -108,10 +108,22 @@ std::vector<TraceEvent> GenerateDiurnalTrace(const TraceConfig& config,
   return events;
 }
 
-std::vector<TraceEvent> GenerateArrivalTrace(const TraceConfig& config,
+}  // namespace
+
+std::vector<TraceEvent> GenerateTrace(const TraceConfig& config) {
+  return FlatTrace(config, kUnlimitedArrivals);
+}
+
+std::vector<TraceEvent> GenerateDiurnalTrace(const TraceConfig& config,
                                              const ArrivalGenConfig& arrivals) {
-  return arrivals.enabled ? GenerateDiurnalTrace(config, arrivals)
-                          : GenerateTrace(config);
+  return DiurnalTrace(config, arrivals, kUnlimitedArrivals);
+}
+
+std::vector<TraceEvent> GenerateArrivalTrace(const TraceConfig& config,
+                                             const ArrivalGenConfig& arrivals,
+                                             size_t limit) {
+  return arrivals.enabled ? DiurnalTrace(config, arrivals, limit)
+                          : FlatTrace(config, limit);
 }
 
 const char* TraceEventError(const TraceEvent& event, double previous_arrival_s) {

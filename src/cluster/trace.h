@@ -7,6 +7,7 @@
 #ifndef SRC_CLUSTER_TRACE_H_
 #define SRC_CLUSTER_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,9 +63,13 @@ std::vector<TraceEvent> GenerateDiurnalTrace(const TraceConfig& config,
                                              const ArrivalGenConfig& arrivals);
 
 // The trace a simulation generates: GenerateDiurnalTrace when `arrivals` is
-// enabled, GenerateTrace otherwise.
+// enabled, GenerateTrace otherwise. It stops early once it holds `limit`
+// events: a caller that knows the length to expect passes one more, so an
+// overrun shows as a longer trace without the rest being drawn. The events
+// a stopped generator does return are the unstopped one's prefix.
 std::vector<TraceEvent> GenerateArrivalTrace(const TraceConfig& config,
-                                             const ArrivalGenConfig& arrivals);
+                                             const ArrivalGenConfig& arrivals,
+                                             size_t limit = kUnlimitedArrivals);
 
 // Why `event` cannot follow an arrival at `previous_arrival_s` in a trace,
 // or null if it can. A trace replays in arrival order from t = 0, so an

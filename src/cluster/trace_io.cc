@@ -1,8 +1,8 @@
 #include "src/cluster/trace_io.h"
 
-#include <fstream>
 #include <sstream>
 
+#include "src/common/atomic_file.h"
 #include "src/common/text_parse.h"
 
 namespace defl {
@@ -62,7 +62,8 @@ Result<TraceEvent> ParseRecord(const std::string& line, int line_no,
 
 }  // namespace
 
-void WriteTraceCsv(const std::vector<TraceEvent>& trace, std::ostream& out) {
+std::string TraceToCsv(const std::vector<TraceEvent>& trace) {
+  std::ostringstream out;
   out << kHeader << "\n";
   out.precision(12);  // round-trip fidelity for times and sizes
   for (const TraceEvent& e : trace) {
@@ -73,28 +74,25 @@ void WriteTraceCsv(const std::vector<TraceEvent>& trace, std::ostream& out) {
         << e.spec.min_size.cpu() << ',' << e.spec.min_size.memory_mb() << ','
         << e.spec.min_size.disk_bw() << ',' << e.spec.min_size.net_bw() << "\n";
   }
+  return std::move(out).str();
 }
 
-std::string TraceToCsv(const std::vector<TraceEvent>& trace) {
-  std::ostringstream out;
-  WriteTraceCsv(trace, out);
-  return out.str();
-}
-
-Result<std::vector<TraceEvent>> ReadTraceCsv(std::istream& in) {
+Result<std::vector<TraceEvent>> ParseTraceCsv(const std::string& text) {
   std::vector<TraceEvent> trace;
-  std::string line;
   int line_no = 0;
   double last_arrival = 0.0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // WriteTraceCsv terminates every record with '\n', so content that runs
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t end = text.find('\n', pos);
+    // TraceToCsv terminates every record with '\n', so content that runs
     // into EOF without one may be a truncated write. Hand-authored or
     // editor-stripped files are still accepted: an unterminated final line
     // that parses into a complete valid record loads normally, and only a
     // genuinely short or garbled tail is rejected -- with the truncation
     // called out, since a generic field-count error would misdirect.
-    const bool unterminated = in.eof() && !line.empty();
+    const bool unterminated = end == std::string::npos;
+    const std::string line = text.substr(pos, end - pos);  // to EOF when unterminated
+    pos = unterminated ? text.size() : end + 1;
+    ++line_no;
     if (line.empty() || line[0] == '#') {
       continue;
     }
@@ -112,27 +110,17 @@ Result<std::vector<TraceEvent>> ReadTraceCsv(std::istream& in) {
   return trace;
 }
 
-Result<std::vector<TraceEvent>> ParseTraceCsv(const std::string& text) {
-  std::istringstream in(text);
-  return ReadTraceCsv(in);
-}
-
 Result<bool> SaveTraceFile(const std::vector<TraceEvent>& trace,
                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return Error{"cannot open for writing: " + path};
-  }
-  WriteTraceCsv(trace, out);
-  return true;
+  return WriteFileAtomic(path, TraceToCsv(trace));
 }
 
 Result<std::vector<TraceEvent>> LoadTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Error{"cannot open: " + path};
+  const Result<std::string> text = ReadFileToString(path);
+  if (!text.ok()) {
+    return Error{text.error()};
   }
-  return ReadTraceCsv(in);
+  return ParseTraceCsv(text.value());
 }
 
 }  // namespace defl

@@ -10,7 +10,6 @@
 #ifndef SRC_CLUSTER_TRACE_IO_H_
 #define SRC_CLUSTER_TRACE_IO_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -21,14 +20,14 @@ namespace defl {
 
 // Serializes a trace; the inverse of ParseTraceCsv.
 std::string TraceToCsv(const std::vector<TraceEvent>& trace);
-void WriteTraceCsv(const std::vector<TraceEvent>& trace, std::ostream& out);
 
 // Parses a CSV trace. Every row must keep TraceEventError's rules (sorted,
 // non-negative arrivals among them); an error names the first bad line.
 Result<std::vector<TraceEvent>> ParseTraceCsv(const std::string& text);
-Result<std::vector<TraceEvent>> ReadTraceCsv(std::istream& in);
 
-// Convenience file wrappers.
+// File wrappers: the save goes through WriteFileAtomic, so a failed write
+// is an error and leaves any earlier file whole; the load reads the whole
+// file through ReadFileToString.
 Result<bool> SaveTraceFile(const std::vector<TraceEvent>& trace,
                            const std::string& path);
 Result<std::vector<TraceEvent>> LoadTraceFile(const std::string& path);

@@ -1,7 +1,7 @@
 // The one parser for text that arrives from outside the program: CLI flags,
-// workload specs, sweep grids, what-if queries, fault plans, trace CSVs and
-// the agent wire protocol all read their numbers and `key = value` settings
-// through here, so every input accepts and rejects the same spellings.
+// workload specs, sweep grids, what-if queries, fault plans and trace CSVs
+// all read their numbers and `key = value` settings through here, so every
+// input accepts and rejects the same spellings.
 //
 // Numbers are whole-string and locale-independent (std::from_chars): no
 // leading `+` or whitespace, no hex floats, no trailing garbage, nothing out

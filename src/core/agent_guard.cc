@@ -80,7 +80,7 @@ void GuardedAgent::NoteTimeout() {
 }
 
 bool GuardedAgent::ProbeAndMaybeClose() {
-  // One kFootprintQuery round trip; the probe itself can time out.
+  // One footprint-query round trip; the probe itself can time out.
   if (AttemptTimesOut()) {
     ++timeouts_;
     if (telemetry_ != nullptr) {
@@ -163,28 +163,6 @@ double GuardedAgent::MemoryFootprintMb() const {
   }
   last_footprint_mb_ = inner_->MemoryFootprintMb();
   return last_footprint_mb_;
-}
-
-WireTransport MakeFaultyTransport(WireTransport inner, FaultInjector* faults,
-                                  VmId vm_id) {
-  return [inner = std::move(inner), faults, vm_id](const std::string& request) {
-    if (faults != nullptr) {
-      if (faults->Sample(FaultKind::kWireDrop, vm_id, -1).fired) {
-        return std::string();
-      }
-    }
-    std::string response = inner(request);
-    if (faults != nullptr && !response.empty()) {
-      const FaultDecision corrupt = faults->Sample(FaultKind::kWireCorrupt, vm_id, -1);
-      if (corrupt.fired) {
-        const size_t pos = std::min(
-            response.size() - 1,
-            static_cast<size_t>(corrupt.roll * static_cast<double>(response.size())));
-        response[pos] = '~';
-      }
-    }
-    return response;
-  };
 }
 
 }  // namespace defl

@@ -11,7 +11,7 @@
 //   * a per-VM circuit breaker: after `breaker_threshold` consecutive
 //     timed-out attempts the agent is marked dead and every later request
 //     falls straight through to the OS/hypervisor layers (returning zero)
-//     until a kFootprintQuery probe succeeds, which closes the breaker.
+//     until a footprint probe succeeds, which closes the breaker.
 //
 // Timeouts originate from the FaultInjector (kAgentUnresponsive / kAgentSlow
 // rules); with no injector attached the guard is a pass-through. All
@@ -21,7 +21,6 @@
 #define SRC_CORE_AGENT_GUARD_H_
 
 #include "src/core/deflation_agent.h"
-#include "src/core/protocol.h"
 #include "src/faults/fault_injector.h"
 #include "src/hypervisor/vm.h"
 #include "src/telemetry/telemetry.h"
@@ -73,7 +72,7 @@ class GuardedAgent : public DeflationAgent {
   // out. Accumulates the attempt's synthetic delay.
   bool AttemptTimesOut();
   void NoteTimeout();  // consecutive-timeout counting + breaker trip
-  // kFootprintQuery re-probe of an open breaker; closes it on success.
+  // Footprint re-probe of an open breaker; closes it on success.
   bool ProbeAndMaybeClose();
 
   VmId vm_id_;
@@ -98,14 +97,6 @@ class GuardedAgent : public DeflationAgent {
     CounterHandle fall_throughs;
   } metrics_;
 };
-
-// Wraps a wire transport with injected transport faults: kWireDrop rules
-// lose the response line entirely (the caller sees ""), kWireCorrupt rules
-// mangle one byte (position picked by the decision roll). DecodeMessage
-// rejects the mangled line in almost all cases and RemoteAgentProxy then
-// treats the agent as silent -- the cascade falls through, never crashes.
-WireTransport MakeFaultyTransport(WireTransport inner, FaultInjector* faults,
-                                  VmId vm_id);
 
 }  // namespace defl
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/common/atomic_file.h"
 #include "src/common/text_parse.h"
 
 namespace defl {
@@ -263,18 +264,11 @@ std::string EncodeFaultPlan(const FaultPlan& plan) {
 }
 
 Result<FaultPlan> LoadFaultPlanFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Error{"cannot open fault plan file '" + path + "'"};
+  const Result<std::string> text = ReadFileToString(path);
+  if (!text.ok()) {
+    return Error{text.error()};
   }
-  std::string text;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-  return ParseFaultPlan(text);
+  return ParseFaultPlan(text.value());
 }
 
 }  // namespace defl

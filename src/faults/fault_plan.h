@@ -27,14 +27,20 @@
 
 namespace defl {
 
+// The order is part of snapshot format v4, which range-checks a kind byte
+// and carries one injection tally per kind; append, never reorder.
 enum class FaultKind : uint8_t {
   // --- Agent RPC layer (magnitudes: seconds of delay / fraction kept) ---
+  // Sampled by GuardedAgent, which only a LocalController holding both a
+  // registered agent and an injector builds; no shipped driver does.
   kAgentUnresponsive,   // the agent never answers; the RPC times out
   kAgentSlow,           // the reply arrives `magnitude` seconds late
   kAgentShortDelivery,  // the agent frees only `magnitude` (0..1) of its reply
-  // --- Wire transport (RemoteAgentProxy over a real transport) ---
-  kWireDrop,     // the line is lost; the caller sees an empty response
-  kWireCorrupt,  // one byte of the response line is mangled
+  // --- Wire transport: no site samples these. Agents are called in
+  // process, so there is no wire; the kinds stay parseable, and keep their
+  // place and their faults/injected/<kind> counters, for snapshot v4. ---
+  kWireDrop,
+  kWireCorrupt,
   // --- Guest OS layer ---
   kUnplugPartial,  // memory unplug delivers only (1 - magnitude * U[0,1]) of
                    // what was computed as available (Section 3.2.2)

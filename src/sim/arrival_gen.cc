@@ -52,7 +52,8 @@ std::string ValidateArrivalGen(const ArrivalGenConfig& config) {
 }
 
 std::vector<double> GenerateArrivalTimes(const ArrivalGenConfig& config,
-                                         double base_rate_per_s, double duration_s) {
+                                         double base_rate_per_s, double duration_s,
+                                         size_t limit) {
   std::vector<double> out;
   if (base_rate_per_s <= 0.0 || duration_s <= 0.0) {
     return out;
@@ -78,10 +79,16 @@ std::vector<double> GenerateArrivalTimes(const ArrivalGenConfig& config,
   const double boost = bursts_active ? std::max(config.burst_multiplier, 1.0) : 1.0;
   const double rate_max = base_rate_per_s * (1.0 + config.diurnal_amplitude) * boost;
 
-  out.reserve(static_cast<size_t>(base_rate_per_s * duration_s * 1.1) + 16);
+  // Room for 10% over the mean count, capped like GenerateTrace's reserve:
+  // an absurd rate must not claim (or overflow) its whole trace's size
+  // before one arrival exists.
+  constexpr double kMaxReservedArrivals = 1 << 22;
+  out.reserve(static_cast<size_t>(
+                  std::min(base_rate_per_s * duration_s * 1.1, kMaxReservedArrivals)) +
+              16);
   size_t cursor = 0;
   double t = rng.Exponential(rate_max);
-  while (t < duration_s) {
+  while (t < duration_s && out.size() < limit) {
     double rate = base_rate_per_s * DiurnalFactor(config, t);
     if (bursts_active && InBurst(burst_onsets, config.burst_duration_s, t, &cursor)) {
       rate *= config.burst_multiplier;

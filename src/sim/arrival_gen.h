@@ -12,7 +12,9 @@
 #ifndef SRC_SIM_ARRIVAL_GEN_H_
 #define SRC_SIM_ARRIVAL_GEN_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -46,13 +48,18 @@ struct ArrivalGenConfig {
 // Empty string when valid, else a description of the offending field.
 std::string ValidateArrivalGen(const ArrivalGenConfig& config);
 
+// The `limit` of a generator that runs to its horizon.
+inline constexpr size_t kUnlimitedArrivals = std::numeric_limits<size_t>::max();
+
 // Strictly increasing arrival times in [0, duration_s), drawn by thinning a
 // homogeneous Poisson process at the rate ceiling. base_rate_per_s is the
 // mean rate the diurnal modulation oscillates around (e.g. derived from
 // WithTargetLoad); the expected count is ~ base * duration * (1 +
-// burst_time_fraction * (multiplier - 1)).
+// burst_time_fraction * (multiplier - 1)). Stops early once it holds
+// `limit` times; the times it does return are the same either way.
 std::vector<double> GenerateArrivalTimes(const ArrivalGenConfig& config,
-                                         double base_rate_per_s, double duration_s);
+                                         double base_rate_per_s, double duration_s,
+                                         size_t limit = kUnlimitedArrivals);
 
 }  // namespace defl
 

@@ -167,26 +167,30 @@ TEST(SimSessionTest, ExplicitTraceLeavesTheGeneratorFieldsUnchecked) {
   ASSERT_TRUE(restored.ok()) << restored.error();
 }
 
+// Replaces the arrival rate of a snapshot cut from a session of `config`,
+// and reseals it, so only Decode's trace checks can object. The rate is
+// stored once, as its own 8 bytes in the config section.
+void PatchArrivalRate(std::string& bytes, const ClusterSimConfig& config, double rate) {
+  std::string stored(8, '\0');
+  PutU64(stored, 0, std::bit_cast<uint64_t>(config.trace.arrival_rate_per_s));
+  const size_t at = bytes.find(stored);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(stored, at + 1), std::string::npos);
+  PutU64(bytes, at, std::bit_cast<uint64_t>(rate));
+  Reseal(bytes);
+}
+
 TEST(SimSessionTest, DecodeRejectsAGeneratedTraceWithANegativeArrivalRate) {
   const ClusterSimConfig config = SmallSim();
   Result<SimSession> session = SimSession::Open(config);
   ASSERT_TRUE(session.ok()) << session.error();
   session.value().StepUntil(1800.0);
-  const std::string bytes = session.value().SnapshotBytes();
+  std::string patched = session.value().SnapshotBytes();
 
-  // The rate is stored once, as its own 8 bytes in the config section.
-  const uint64_t rate_bits = std::bit_cast<uint64_t>(config.trace.arrival_rate_per_s);
-  std::string rate(8, '\0');
-  PutU64(rate, 0, rate_bits);
-  const size_t at = bytes.find(rate);
-  ASSERT_NE(at, std::string::npos);
-  ASSERT_EQ(bytes.find(rate, at + 1), std::string::npos);
-
-  // Resealed, so only the generator check can object; regenerating would
-  // append arrivals forever, since the clock only moves back.
-  std::string patched = bytes;
-  PutU64(patched, at, std::bit_cast<uint64_t>(-config.trace.arrival_rate_per_s));
-  Reseal(patched);
+  // Regenerating would append arrivals forever, since the clock only moves
+  // back.
+  ASSERT_NO_FATAL_FAILURE(
+      PatchArrivalRate(patched, config, -config.trace.arrival_rate_per_s));
   const Result<std::shared_ptr<const SimSession::Image>> image =
       SimSession::Decode(patched);
   ASSERT_FALSE(image.ok());
@@ -194,6 +198,45 @@ TEST(SimSessionTest, DecodeRejectsAGeneratedTraceWithANegativeArrivalRate) {
                                "trace.arrival_rate_per_s must be positive"),
             std::string::npos)
       << image.error();
+}
+
+// A rate raised a millionfold is still positive and finite, so the config
+// check passes; run out to the horizon, the generator would draw 10^6 times
+// the recorded arrivals. Decode stops one arrival past the recorded length
+// and names it.
+void ExpectRaisedRateStopsAtTheStoredLength(const ClusterSimConfig& config) {
+  Result<SimSession> session = SimSession::Open(config);
+  ASSERT_TRUE(session.ok()) << session.error();
+  const size_t length = session.value().generated_trace().events->size();
+  ASSERT_GT(length, 0u);
+  session.value().StepUntil(1800.0);
+  std::string patched = session.value().SnapshotBytes();
+
+  ASSERT_NO_FATAL_FAILURE(
+      PatchArrivalRate(patched, config, config.trace.arrival_rate_per_s * 1e6));
+  const Result<std::shared_ptr<const SimSession::Image>> image =
+      SimSession::Decode(patched);
+  ASSERT_FALSE(image.ok());
+  EXPECT_NE(image.error().find("snapshot's elided arrival trace cannot be "
+                               "regenerated: the generator runs past the " +
+                               std::to_string(length) +
+                               " arrivals the snapshot recorded"),
+            std::string::npos)
+      << image.error();
+}
+
+TEST(SimSessionTest, DecodeStopsAFlatTraceWithARaisedRateAtTheStoredLength) {
+  ExpectRaisedRateStopsAtTheStoredLength(SmallSim());
+}
+
+TEST(SimSessionTest, DecodeStopsADiurnalTraceWithARaisedRateAtTheStoredLength) {
+  ClusterSimConfig config = SmallSim();
+  config.arrivals.enabled = true;
+  config.arrivals.diurnal_amplitude = 0.5;
+  config.arrivals.diurnal_period_s = 3600.0;
+  config.arrivals.burst_rate_per_s = 2.0 / 3600.0;
+  config.arrivals.burst_multiplier = 3.0;
+  ExpectRaisedRateStopsAtTheStoredLength(config);
 }
 
 TEST(SimSessionTest, SteppedRunEqualsBatchRun) {

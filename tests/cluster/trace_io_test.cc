@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "src/common/atomic_file.h"
+
 namespace defl {
 namespace {
 
@@ -100,14 +106,29 @@ TEST(TraceIoTest, ErrorsNameTheLine) {
   EXPECT_EQ(nan_arrival.error(), "line 2: bad number 'nan'");
 }
 
+// A save is an atomic replace: it leaves exactly TraceToCsv's bytes and no
+// "<path>.tmp", and the reload holds the same events (at the CSV's
+// precision, so re-serializing gives the same bytes).
 TEST(TraceIoTest, FileRoundTrip) {
   const std::vector<TraceEvent> original = SampleTrace();
   const std::string path = ::testing::TempDir() + "/trace_io_test.csv";
   const Result<bool> saved = SaveTraceFile(original, path);
   ASSERT_TRUE(saved.ok()) << saved.error();
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  const Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.error();
+  EXPECT_EQ(bytes.value(), TraceToCsv(original));
   const Result<std::vector<TraceEvent>> loaded = LoadTraceFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   EXPECT_EQ(loaded.value().size(), original.size());
+  EXPECT_EQ(TraceToCsv(loaded.value()), bytes.value());
+}
+
+TEST(TraceIoTest, SaveIntoAMissingDirectoryFails) {
+  const std::string path = ::testing::TempDir() + "/no_such_dir/trace.csv";
+  const Result<bool> saved = SaveTraceFile(SampleTrace(), path);
+  ASSERT_FALSE(saved.ok());
+  EXPECT_NE(saved.error().find(path), std::string::npos) << saved.error();
 }
 
 TEST(TraceIoTest, MissingFileIsAnError) {
@@ -120,7 +141,7 @@ TEST(TraceIoTest, EmptyInputIsAnEmptyTrace) {
   EXPECT_TRUE(parsed.value().empty());
 }
 
-// Every record WriteTraceCsv emits ends in '\n', but hand-authored or
+// Every record TraceToCsv emits ends in '\n', but hand-authored or
 // editor-stripped files may legitimately end without one. An unterminated
 // final line that still forms a complete valid record (or a comment) loads
 // normally; only a genuinely short or garbled tail is rejected, with the

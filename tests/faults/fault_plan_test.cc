@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/atomic_file.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/fault_plan.h"
 #include "src/telemetry/telemetry.h"
@@ -44,6 +45,23 @@ TEST(FaultPlanParseTest, ParsesHeaderAndRules) {
   EXPECT_DOUBLE_EQ(plan.rules[2].start_s, 10.0);
   EXPECT_DOUBLE_EQ(plan.rules[2].end_s, 20.0);
   EXPECT_EQ(plan.rules[2].max_count, 4);
+}
+
+// The file loader reads through ReadFileToString: a written plan loads back
+// to the same rules, and a missing file is an error naming its path.
+TEST(FaultPlanParseTest, LoadsAPlanFileAndNamesAMissingOne) {
+  const std::string text =
+      "faultplan/1 seed=5\nrule kind=unplug-partial p=0.5 magnitude=0.4\n";
+  const std::string path = ::testing::TempDir() + "/fault_plan_test.plan";
+  ASSERT_TRUE(WriteFileAtomic(path, text).ok());
+  const Result<FaultPlan> loaded = LoadFaultPlanFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EXPECT_EQ(EncodeFaultPlan(loaded.value()),
+            EncodeFaultPlan(ParseFaultPlan(text).value()));
+  const std::string missing = ::testing::TempDir() + "/no_such_fault_plan.plan";
+  const Result<FaultPlan> absent = LoadFaultPlanFile(missing);
+  ASSERT_FALSE(absent.ok());
+  EXPECT_NE(absent.error().find(missing), std::string::npos) << absent.error();
 }
 
 TEST(FaultPlanParseTest, RejectsMalformedInput) {

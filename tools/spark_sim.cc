@@ -10,10 +10,12 @@
 //   spark_sim --workload=kmeans --approach=self --fraction=0.5 --at-progress=0.3
 //   spark_sim --workload=als --metrics-out=metrics.json --trace-out=events.jsonl
 //   spark_sim --workload=als --fault-plan=examples/faults_basic.plan
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/common/atomic_file.h"
 #include "src/common/sim_options.h"
@@ -28,6 +30,25 @@ namespace {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
   return 1;
+}
+
+// "<total> injected: <kind> <count>, ..." over the kinds the plan names, in
+// FaultKind order, so a kind that no site of this run samples reads 0.
+std::string InjectedSummary(const FaultInjector& injector) {
+  const std::vector<FaultRule>& rules = injector.plan().rules;
+  std::string summary = std::to_string(injector.total_injected()) + " injected:";
+  const char* separator = " ";
+  for (int i = 0; i < kNumFaultKinds; ++i) {
+    const auto kind = static_cast<FaultKind>(i);
+    if (std::none_of(rules.begin(), rules.end(),
+                     [kind](const FaultRule& rule) { return rule.kind == kind; })) {
+      continue;
+    }
+    summary += separator + std::string(FaultKindName(kind)) + " " +
+               std::to_string(injector.injected(kind));
+    separator = ", ";
+  }
+  return summary;
 }
 
 }  // namespace
@@ -147,5 +168,8 @@ int main(int argc, char** argv) {
   }
   std::printf("disruption    %ld tasks killed, %ld recomputed, %ld rollbacks\n",
               result.tasks_killed, result.recomputed_tasks, result.rollbacks);
+  if (injector != nullptr) {
+    std::printf("faults        %s\n", InjectedSummary(*injector).c_str());
+  }
   return 0;
 }
